@@ -123,12 +123,6 @@ impl Detector {
         counters.detect_runs += runs.len() as u64;
         let mut out: Vec<DetectedPacket> = Vec::new();
         for run in runs {
-            if std::env::var("TNB_DEBUG_DETECT").is_ok() {
-                eprintln!(
-                    "DBG run first_window={} bin={} len={}",
-                    run.first_window, run.bin, run.len
-                );
-            }
             if let Some(p) = self.validate_and_sync(samples, &run, scratch, metrics, counters) {
                 if merge_dedup(&mut out, p, self.params.samples_per_symbol() as f64) {
                     counters.detect_duplicates += 1;
@@ -429,28 +423,12 @@ impl Detector {
                 }
             }
             let Some((score, x2)) = best_down else {
-                if std::env::var("TNB_DEBUG_DETECT").is_ok() {
-                    eprintln!(
-                        "DBG k={k} x1={x1} up_h={up_h:.0} no consistent down peak: a={:?} b={:?}",
-                        down_a
-                            .iter()
-                            .map(|p| (p.index, p.height as i64))
-                            .collect::<Vec<_>>(),
-                        down_b
-                            .iter()
-                            .map(|p| (p.index, p.height as i64))
-                            .collect::<Vec<_>>()
-                    );
-                }
                 continue;
             };
             // Downchirp height vs upchirp height must be comparable — a
             // spurious "downchirp" from noise or a colliding upchirp is
             // weak.
             if score < up_h * 0.2 {
-                if std::env::var("TNB_DEBUG_DETECT").is_ok() {
-                    eprintln!("DBG k={k} score {score:.0} < 0.2*up_h {up_h:.0}");
-                }
                 continue;
             }
             let c2 = center(x2, n);
@@ -462,9 +440,6 @@ impl Detector {
             }
         }
 
-        if std::env::var("TNB_DEBUG_DETECT").is_ok() {
-            eprintln!("DBG best={:?}", best.map(|(s, st, c)| (s as i64, st, c)));
-        }
         let (_, s_coarse, cfo_est) = best?;
         if s_coarse < 0 {
             return None;

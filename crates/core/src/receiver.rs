@@ -1129,13 +1129,6 @@ impl TnbReceiver {
                 tr.rescued += rescued;
             }
             None => {
-                if std::env::var("TNB_DEBUG_RX").is_ok() {
-                    eprintln!(
-                        "DBG header decode failed for packet at {:.0}, syms {:?}",
-                        tr.det.start,
-                        &tr.values[..8]
-                    );
-                }
                 tr.failure = Failure::Header;
                 tr.status = Status::Failed;
             }
@@ -1216,12 +1209,6 @@ impl TnbReceiver {
             }
             None => {
                 counters.crc_fail += 1;
-                if std::env::var("TNB_DEBUG_RX").is_ok() {
-                    eprintln!(
-                        "DBG payload decode failed for packet at {:.0}",
-                        tr.det.start
-                    );
-                }
                 tr.failure = Failure::Payload;
                 tr.status = Status::Failed;
             }

@@ -17,8 +17,9 @@
 //! - [`stats`]: median / percentile / CDF helpers used throughout the
 //!   evaluation harness.
 //! - [`scratch`]: the per-thread [`DspScratch`] workspace (cached FFT
-//!   plans plus reusable de-chirp/spectrum buffers) that keeps the
-//!   steady-state decode loop free of per-symbol allocations.
+//!   plans and CFO rotators plus reusable de-chirp/spectrum buffers)
+//!   that keeps the steady-state decode loop free of per-symbol
+//!   allocations.
 //! - [`simd`]: runtime-dispatched SIMD kernels (AVX2 / NEON / scalar) for
 //!   the hot inner loops, bit-identical to the scalar reference.
 //! - [`channelizer`]: a polyphase DFT filterbank splitting one wideband
@@ -41,4 +42,4 @@ pub use channelizer::{Channelizer, ChannelizerConfig};
 pub use complex::Complex32;
 pub use fft::FftPlan;
 pub use peakfinder::{find_peaks, Peak, PeakFinderConfig};
-pub use scratch::{DspScratch, FftPlanCache};
+pub use scratch::{fill_rotator, DspScratch, FftPlanCache, RotatorCache};

@@ -13,15 +13,7 @@
 
 use crate::chirp::ChirpTable;
 use crate::params::LoRaParams;
-use tnb_dsp::{simd, Complex32, DspScratch, FftPlan};
-
-/// Fills `rot` with the CFO-removal rotator `e^{-j2π·δ·n/L}` for
-/// `n in 0..l` (phase accumulated in `f64`, as everywhere else).
-fn fill_rot(l: usize, cfo_cycles: f64, rot: &mut Vec<Complex32>) {
-    let step = -2.0 * std::f64::consts::PI * cfo_cycles / l as f64;
-    rot.clear();
-    rot.extend((0..l).map(|n| Complex32::from_phase(step * n as f64)));
-}
+use tnb_dsp::{fill_rotator, simd, Complex32, DspScratch, FftPlan};
 
 /// De-chirps `window` against `chirp` into `out`; with `rot` present the
 /// CFO rotator is applied as a second elementwise multiply, preserving
@@ -93,7 +85,7 @@ impl Demodulator {
             // Remove the CFO: multiply by e^{-j2π·δ·n/(N·U)} where δ is in
             // cycles per symbol.
             let mut rot: Vec<Complex32> = Vec::new();
-            fill_rot(l, cfo_cycles, &mut rot);
+            fill_rotator(l, cfo_cycles, &mut rot);
             dechirp_into(window, self.chirps.downchirp(), Some(&rot), &mut buf);
         }
         self.plan.forward(&mut buf);
@@ -130,7 +122,7 @@ impl Demodulator {
                                                                        // The rotator is applied even for a zero CFO (it is exactly 1+0i
                                                                        // there), matching the historical code path bit-for-bit.
         let mut rot: Vec<Complex32> = Vec::new();
-        fill_rot(l, cfo_cycles, &mut rot);
+        fill_rotator(l, cfo_cycles, &mut rot);
         let mut buf: Vec<Complex32> = Vec::with_capacity(l);
         dechirp_into(window, self.chirps.upchirp(), Some(&rot), &mut buf);
         self.plan.forward(&mut buf);
@@ -144,9 +136,10 @@ impl Demodulator {
     }
 
     /// Allocation-free [`Self::complex_spectrum`]: de-chirps into
-    /// `scratch.cbuf` and FFTs it in place (plan from the scratch's
-    /// cache, so one scratch serves demodulators of any size). The
-    /// spectrum is left in `scratch.cbuf`.
+    /// `scratch.cbuf` and FFTs it in place (plan and CFO rotator from the
+    /// scratch's caches, so one scratch serves demodulators of any size).
+    /// The spectrum is left in `scratch.cbuf`; `scratch.ffts` counts the
+    /// transform.
     ///
     /// Produces bit-identical values to the allocating path.
     // tnb-lint: no_alloc_root -- de-chirp + in-place FFT inside the warm scratch
@@ -159,15 +152,16 @@ impl Demodulator {
         let l = self.params.samples_per_symbol();
         assert_eq!(window.len(), l, "window must be one symbol long"); // tnb-lint: allow(TNB-PANIC02) -- documented `# Panics` precondition: a wrong-length window is a caller bug, not hostile input
         let DspScratch {
-            plans, cbuf, crot, ..
+            plans,
+            rotators,
+            ffts,
+            cbuf,
+            ..
         } = scratch;
-        if cfo_cycles == 0.0 {
-            dechirp_into(window, self.chirps.downchirp(), None, cbuf);
-        } else {
-            fill_rot(l, cfo_cycles, crot);
-            dechirp_into(window, self.chirps.downchirp(), Some(crot), cbuf);
-        }
+        let rot = (cfo_cycles != 0.0).then(|| rotators.get(l, cfo_cycles));
+        dechirp_into(window, self.chirps.downchirp(), rot, cbuf);
         plans.get(l).forward(cbuf);
+        *ffts += 1;
     }
 
     /// Allocation-free [`Self::complex_spectrum_down`]: the upchirp-dechirped
@@ -182,11 +176,16 @@ impl Demodulator {
         let l = self.params.samples_per_symbol();
         assert_eq!(window.len(), l, "window must be one symbol long"); // tnb-lint: allow(TNB-PANIC02) -- documented `# Panics` precondition: a wrong-length window is a caller bug, not hostile input
         let DspScratch {
-            plans, cbuf, crot, ..
+            plans,
+            rotators,
+            ffts,
+            cbuf,
+            ..
         } = scratch;
-        fill_rot(l, cfo_cycles, crot);
-        dechirp_into(window, self.chirps.upchirp(), Some(crot), cbuf);
+        let rot = rotators.get(l, cfo_cycles);
+        dechirp_into(window, self.chirps.upchirp(), Some(rot), cbuf);
         plans.get(l).forward(cbuf);
+        *ffts += 1;
     }
 
     /// [`Self::fold`] into a caller-owned buffer (cleared and refilled;
@@ -399,7 +398,11 @@ mod tests {
             d.signal_vector_down_scratch(&wave, cfo, &mut scratch);
             assert_eq!(yd, scratch.fbuf, "down vector cfo={cfo}");
         }
-        // One plan (the demodulator's size) was cached along the way.
+        // One plan (the demodulator's size) was cached along the way, one
+        // rotator per nonzero CFO plus the down path's CFO-0 table, and
+        // every spectrum ran one FFT.
         assert_eq!(scratch.plans.len(), 1);
+        assert_eq!(scratch.rotators.builds(), 3);
+        assert_eq!(scratch.ffts, 12);
     }
 }

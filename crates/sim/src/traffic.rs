@@ -27,16 +27,29 @@ pub struct ScheduledPacket {
 
 /// Builds the paper's payload layout: `[0xA5; 4]` app header, node ID,
 /// sequence number (both big-endian), then deterministic data bytes.
+///
+/// The data bytes check every id byte: each enters the fill scaled by an
+/// odd factor, so a flip of any single id bit changes every fill byte
+/// and [`parse_payload`] rejects it. The bytes above the low one add
+/// nothing while they are zero, which keeps the payloads of ids below
+/// 256 as they were before those bytes were checked.
 pub fn make_payload(node: u32, seq: u32) -> Vec<u8> {
+    let (node_b, seq_b) = (node.to_be_bytes(), seq.to_be_bytes());
+    let high = node_b[..3]
+        .iter()
+        .chain(&seq_b[..3])
+        .zip([37u8, 41, 43, 47, 53, 59])
+        .fold(0u8, |h, (&b, m)| h.wrapping_add(b.wrapping_mul(m)));
     let mut p = Vec::with_capacity(PAYLOAD_LEN);
     p.extend_from_slice(&[0xA5, 0x5A, 0xA5, 0x5A]);
-    p.extend_from_slice(&node.to_be_bytes());
-    p.extend_from_slice(&seq.to_be_bytes());
+    p.extend_from_slice(&node_b);
+    p.extend_from_slice(&seq_b);
     for i in 0..(PAYLOAD_LEN - 12) {
         p.push(
             (node as u8)
                 .wrapping_mul(31)
                 .wrapping_add(seq as u8)
+                .wrapping_add(high)
                 .wrapping_add(i as u8),
         );
     }
@@ -109,6 +122,46 @@ mod tests {
         assert_eq!(parse_payload(&p), None);
         assert_eq!(parse_payload(&p[..10]), None);
         assert_eq!(parse_payload(&[0u8; 16]), None);
+    }
+
+    #[test]
+    fn one_byte_ids_keep_their_payload() {
+        // The layout before the high id bytes were checked.
+        for (node, seq) in [(0u32, 0u32), (3, 4), (24, 255), (255, 17)] {
+            let mut want = vec![
+                0xA5, 0x5A, 0xA5, 0x5A, 0, 0, 0, node as u8, 0, 0, 0, seq as u8,
+            ];
+            for i in 0..4u8 {
+                want.push(
+                    (node as u8)
+                        .wrapping_mul(31)
+                        .wrapping_add(seq as u8)
+                        .wrapping_add(i),
+                );
+            }
+            assert_eq!(make_payload(node, seq), want, "({node}, {seq})");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn header_bit_flips_never_alias(node in 0u32..u32::MAX, seq in 0u32..u32::MAX, small in 0u32..2) {
+            // Half the cases use one-byte ids, the common case in the
+            // experiment scenes.
+            let (node, seq) = if small == 1 { (node % 256, seq % 256) } else { (node, seq) };
+            let p = make_payload(node, seq);
+            for bit in 0..12 * 8 {
+                let mut q = p.clone();
+                q[bit / 8] ^= 1 << (bit % 8);
+                let got = parse_payload(&q);
+                proptest::prop_assert!(
+                    got.is_none() || got == Some((node, seq)),
+                    "flip of bit {bit} of ({node}, {seq}) parsed as {got:?}"
+                );
+            }
+        }
     }
 
     #[test]
