@@ -1,4 +1,4 @@
-//! Deployment capacity curve: goodput, PRR and delay percentiles vs
+//! Deployment capacity curve: goodput and PRR vs
 //! offered load for a seeded city, decoded by plain TnB and by TnB+SIC.
 //! This is the network-level headline the paper's trace-level figures
 //! imply: collision resolution translates directly into deployment
@@ -16,7 +16,6 @@ struct Row {
     delivered: usize,
     goodput_pps: f64,
     prr: f64,
-    delay_ms: (f64, f64, f64),
     duplicates: u64,
 }
 
@@ -33,7 +32,6 @@ fn run_point(cfg: &DeployConfig, sic: bool, workers: usize) -> Row {
         delivered: n.deliveries.len(),
         goodput_pps: n.goodput_pps(report.duration_s),
         prr: n.prr(report.offered),
-        delay_ms: n.delay_percentiles_ms(),
         duplicates: n.duplicates,
     }
 }
@@ -74,7 +72,6 @@ fn main() {
         "delivered",
         "goodput (pps)",
         "PRR",
-        "p50/p95/p99 delay (ms)",
     ]);
     let mut rows: Vec<Row> = Vec::new();
     for &load in &loads {
@@ -89,10 +86,6 @@ fn main() {
                 format!("{}", row.delivered),
                 format!("{:.2}", row.goodput_pps),
                 format!("{:.3}", row.prr),
-                format!(
-                    "{:.1}/{:.1}/{:.1}",
-                    row.delay_ms.0, row.delay_ms.1, row.delay_ms.2
-                ),
             ]);
             rows.push(row);
         }
@@ -109,17 +102,13 @@ fn main() {
                 format!(
                     "{{\"load_pps\":{},\"scheme\":\"{}\",\"offered\":{},\
                      \"delivered\":{},\"goodput_pps\":{:.4},\"prr\":{:.4},\
-                     \"delay_p50_ms\":{:.3},\"delay_p95_ms\":{:.3},\
-                     \"delay_p99_ms\":{:.3},\"duplicates\":{}}}",
+                     \"duplicates\":{}}}",
                     r.load_pps,
                     r.scheme,
                     r.offered,
                     r.delivered,
                     r.goodput_pps,
                     r.prr,
-                    r.delay_ms.0,
-                    r.delay_ms.1,
-                    r.delay_ms.2,
                     r.duplicates,
                 )
             })

@@ -70,11 +70,11 @@ fn main() {
         let mut rescues = 0u64;
         for k in 0..seeds {
             let (trace, weak) = near_far_trace(p, args.seed + 41 + k, delta);
-            let (plain, _) = TnbReceiver::new(p)
-                .decode_multi_report_observed(&[&trace], &PipelineMetrics::disabled());
+            let (plain, _) =
+                TnbReceiver::new(p).decode_observed(&[&trace], &PipelineMetrics::disabled());
             weak_plain += usize::from(plain.iter().any(|d| d.payload == weak));
             let (sic, report) = TnbReceiver::with_config(p, sic_on())
-                .decode_multi_report_observed(&[&trace], &PipelineMetrics::disabled());
+                .decode_observed(&[&trace], &PipelineMetrics::disabled());
             weak_sic += usize::from(sic.iter().any(|d| d.payload == weak));
             rescues += report.second_pass_rescues as u64;
         }

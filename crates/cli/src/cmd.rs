@@ -6,7 +6,8 @@ use tnb_channel::trace::{PacketConfig, TraceBuilder};
 use tnb_channel::FaultPlan;
 use tnb_core::streaming::{StreamingConfig, StreamingReceiver};
 use tnb_core::{
-    DecodeReport, DegradeReason, MetricsSnapshot, ParallelReceiver, Stage, TnbConfig, TnbReceiver,
+    DecodeReport, DecodedPacket, DegradeReason, MetricsSnapshot, PipelineMetrics, Stage, TnbConfig,
+    TnbReceiver,
 };
 use tnb_phy::{CodingRate, LoRaParams, SpreadingFactor};
 use tnb_sim::traffic::parse_payload;
@@ -89,7 +90,7 @@ commands:
       capture. --sf takes a comma list (e.g. 7,8,10) assigned to nodes
       by link quality; --traffic bursty:N sends duty-cycle-constrained
       bursts of up to N packets. Prints offered load, goodput, PRR and
-      delay percentiles (--json for the machine-readable report).
+      per-gateway capture wins (--json for the machine-readable report).
       Output is byte-identical for any --workers / --shard / --chunk
 
   info --trace FILE
@@ -194,7 +195,8 @@ pub fn decode(args: &[String]) -> Result<(), String> {
         return decode_wideband(params, &samples, workers.max(1));
     }
     let scheme = kind.build(params);
-    let decoded = scheme.decode_with_workers(&[&samples], workers.max(1));
+    let (decoded, _) =
+        scheme.decode_observed(&[&samples], workers.max(1), &PipelineMetrics::disabled());
 
     println!("node   seq    SNR(dB)  start(s)  CFO(Hz)");
     for d in &decoded {
@@ -268,9 +270,9 @@ pub fn compare(args: &[String]) -> Result<(), String> {
     println!("{:<14} {:>8}", "scheme", "decoded");
     for kind in SchemeKind::ALL {
         let scheme = kind.build(params);
-        let n = scheme
-            .decode_with_workers(&[&samples], workers.max(1))
-            .len();
+        let (decoded, _) =
+            scheme.decode_observed(&[&samples], workers.max(1), &PipelineMetrics::disabled());
+        let n = decoded.len();
         println!("{:<14} {:>8}", scheme.name(), n);
     }
     Ok(())
@@ -336,6 +338,21 @@ fn report_json(workers: usize, report: &DecodeReport, snapshot: &MetricsSnapshot
     )
 }
 
+/// Decodes one trace with the TnB receiver at `workers` threads, with
+/// the observability layer on.
+fn tnb_decode(
+    params: LoRaParams,
+    cfg: TnbConfig,
+    workers: usize,
+    samples: &[tnb_dsp::Complex32],
+) -> (Vec<DecodedPacket>, DecodeReport, MetricsSnapshot) {
+    let metrics = PipelineMetrics::enabled();
+    let (decoded, report) = TnbReceiver::with_config(params, cfg)
+        .with_workers(workers)
+        .decode_observed(&[samples], &metrics);
+    (decoded, report, metrics.snapshot())
+}
+
 /// `tnb-cli report`: decode with the TnB pipeline and print per-stage
 /// wall times, counters and distributions (the observability layer).
 pub fn report(args: &[String]) -> Result<(), String> {
@@ -357,11 +374,7 @@ pub fn report(args: &[String]) -> Result<(), String> {
     };
     let workers: usize = flags.parse_or("--workers", 1usize)?.max(1);
     let cfg = parse_tnb_config(&flags);
-    let (decoded, report, snapshot) = if workers > 1 {
-        ParallelReceiver::with_config(params, cfg, workers).decode_with_metrics(&samples)
-    } else {
-        TnbReceiver::with_config(params, cfg).decode_with_metrics(&samples)
-    };
+    let (decoded, report, snapshot) = tnb_decode(params, cfg, workers, &samples);
 
     if flags.has("--json") {
         println!("{}", report_json(workers, &report, &snapshot));
@@ -436,11 +449,6 @@ fn decode_flavour(
     samples: &[tnb_dsp::Complex32],
 ) -> (usize, DecodeReport) {
     match flavour {
-        "parallel" => {
-            let (d, r, _) =
-                ParallelReceiver::with_config(params, cfg, workers).decode_with_metrics(samples);
-            (d.len(), r)
-        }
         "streaming" => {
             let cfg = StreamingConfig {
                 receiver: cfg,
@@ -456,7 +464,8 @@ fn decode_flavour(
             (n, rx.report())
         }
         _ => {
-            let (d, r, _) = TnbReceiver::with_config(params, cfg).decode_with_metrics(samples);
+            let workers = if flavour == "serial" { 1 } else { workers };
+            let (d, r, _) = tnb_decode(params, cfg, workers, samples);
             (d.len(), r)
         }
     }
@@ -805,7 +814,7 @@ fn gateway_send(args: &[String]) -> Result<(), String> {
 }
 
 /// The `--chaos-seed` leg of `gateway send`: route the connection
-/// through an in-process [`NetFaultPlan`] proxy (the seed picks one
+/// through an in-process [`tnb_gateway::NetFaultPlan`] proxy (the seed picks one
 /// injector from the matrix and its fault offsets) and drive it with
 /// the resilient client, proving reconnect+RESUME survives the fault.
 fn gateway_send_chaos(
@@ -925,7 +934,7 @@ fn gateway_bench(args: &[String]) -> Result<(), String> {
 }
 
 /// The `--chaos-seed` leg of `gateway bench`: the network-chaos soak.
-/// Runs every [`NetFaultPlan::matrix`] injector against a live daemon
+/// Runs every [`tnb_gateway::NetFaultPlan::matrix`] injector against a live daemon
 /// through the chaos proxy and errors unless every recoverable run's
 /// transcript is byte-identical to the clean reference.
 fn gateway_bench_chaos(flags: &Flags, params: LoRaParams, chaos_seed: u64) -> Result<(), String> {
@@ -1191,7 +1200,7 @@ mod tests {
         // JSON path: check the object carries every stage plus timings.
         let params = LoRaParams::new(SpreadingFactor::SF8, CodingRate::CR4);
         let samples = demo_collision(params, 7);
-        let (_, rep, snap) = TnbReceiver::new(params).decode_with_metrics(&samples);
+        let (_, rep, snap) = tnb_decode(params, TnbConfig::default(), 1, &samples);
         let json = report_json(1, &rep, &snap);
         for key in [
             "\"detect\"",
@@ -1248,9 +1257,26 @@ mod tests {
     fn report_parallel_counters_match_serial() {
         let params = LoRaParams::new(SpreadingFactor::SF8, CodingRate::CR4);
         let samples = demo_collision(params, 7);
-        let (_, serial, _) = TnbReceiver::new(params).decode_with_metrics(&samples);
-        let (_, par, _) = ParallelReceiver::new(params, 4).decode_with_metrics(&samples);
-        assert_eq!(serial.stages, par.stages);
+        // The unclustered reference: detection and one whole-list decode
+        // on a single scratch.
+        let cfg = TnbConfig::default();
+        let detector = tnb_core::Detector::with_config(params, cfg.detector);
+        let mut scratch = tnb_dsp::DspScratch::new();
+        let mut counters = tnb_core::StageCounters::default();
+        let off = PipelineMetrics::disabled();
+        let detected = detector.detect_observed(&samples, &mut scratch, &off, &mut counters);
+        let (want, mut reference) = TnbReceiver::with_config(params, cfg).decode_detected_report(
+            &detected,
+            detector.demodulator(),
+            &[&samples],
+            &mut scratch,
+        );
+        reference.stages.absorb(&counters);
+        for workers in [1, 2, 8] {
+            let (got, report, _) = tnb_decode(params, cfg, workers, &samples);
+            assert_eq!(got, want, "workers={workers}");
+            assert_eq!(report.stages, reference.stages, "workers={workers}");
+        }
     }
 
     #[test]

@@ -51,7 +51,7 @@ impl Default for DetectorConfig {
 
 /// A preamble candidate from step 1: a run of windows peaking at one bin.
 #[derive(Debug, Clone, Copy)]
-struct PreambleRun {
+pub(crate) struct PreambleRun {
     /// First window index of the run.
     first_window: usize,
     /// Peak bin the run was tracked at.
@@ -116,106 +116,40 @@ impl Detector {
         metrics: &PipelineMetrics,
         counters: &mut StageCounters,
     ) -> Vec<DetectedPacket> {
+        let runs = self.scan_observed(samples, scratch, metrics, counters);
+        let found: Vec<DetectedPacket> = runs
+            .iter()
+            .filter_map(|run| self.validate_and_sync(samples, run, scratch, metrics, counters))
+            .collect();
+        self.merge_runs(found, counters)
+    }
+
+    /// Step 1 with its span and counters: the preamble runs of `samples`
+    /// in scan order. Steps 2–4 ([`Self::validate_and_sync`]) are
+    /// independent per run, so the receiver fans them over its pool.
+    pub(crate) fn scan_observed(
+        &self,
+        samples: &[Complex32],
+        scratch: &mut DspScratch,
+        metrics: &PipelineMetrics,
+        counters: &mut StageCounters,
+    ) -> Vec<PreambleRun> {
         counters.detect_windows += (samples.len() / self.params.samples_per_symbol()) as u64;
         let t0 = metrics.now();
         let runs = self.scan_preambles(samples, scratch);
         metrics.record_span(Stage::Detect, t0);
         counters.detect_runs += runs.len() as u64;
-        let mut out: Vec<DetectedPacket> = Vec::new();
-        for run in runs {
-            if let Some(p) = self.validate_and_sync(samples, &run, scratch, metrics, counters) {
-                if merge_dedup(&mut out, p, self.params.samples_per_symbol() as f64) {
-                    counters.detect_duplicates += 1;
-                }
-            }
-        }
-        out.sort_by(|a, b| a.start.total_cmp(&b.start));
-        out
+        runs
     }
 
-    /// [`Self::detect`] with preamble validation fanned out over
-    /// `workers` threads (each with its own scratch). The scan pass is a
-    /// single cheap sweep and stays serial; validation — five candidate
-    /// alignments plus the 36-point fractional search per run — dominates
-    /// detection cost and parallelizes per run. Results are identical to
-    /// the serial path: candidates are deduplicated in scan order, exactly
-    /// as [`Self::detect`] does.
-    pub fn detect_parallel(&self, samples: &[Complex32], workers: usize) -> Vec<DetectedPacket> {
-        let metrics = PipelineMetrics::disabled();
-        let mut counters = StageCounters::default();
-        self.detect_parallel_observed(samples, workers, &metrics, &mut counters)
-    }
-
-    /// [`Self::detect_parallel`] with observability. Each validation
-    /// worker records into its own [`PipelineMetrics`] and
-    /// [`StageCounters`], merged after join; merges are commutative sums,
-    /// so the totals equal the serial path's regardless of scheduling.
-    pub fn detect_parallel_observed(
+    /// Deduplicates validated runs in scan order, then sorts by start.
+    pub(crate) fn merge_runs(
         &self,
-        samples: &[Complex32],
-        workers: usize,
-        metrics: &PipelineMetrics,
+        found: impl IntoIterator<Item = DetectedPacket>,
         counters: &mut StageCounters,
     ) -> Vec<DetectedPacket> {
-        let workers = workers.max(1);
-        if workers == 1 {
-            let mut scratch = DspScratch::new();
-            return self.detect_observed(samples, &mut scratch, metrics, counters);
-        }
-        let mut scratch = DspScratch::new();
-        counters.detect_windows += (samples.len() / self.params.samples_per_symbol()) as u64;
-        let t0 = metrics.now();
-        let runs = self.scan_preambles(samples, &mut scratch);
-        metrics.record_span(Stage::Detect, t0);
-        counters.detect_runs += runs.len() as u64;
-        let enabled = metrics.is_enabled();
-        let mut validated: Vec<Option<DetectedPacket>> = vec![None; runs.len()];
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers.min(runs.len().max(1)))
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut scratch = DspScratch::new();
-                        let wm = if enabled {
-                            PipelineMetrics::enabled()
-                        } else {
-                            PipelineMetrics::disabled()
-                        };
-                        let mut wc = StageCounters::default();
-                        let mut local: Vec<(usize, DetectedPacket)> = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            if i >= runs.len() {
-                                break;
-                            }
-                            if let Some(p) = self.validate_and_sync(
-                                samples,
-                                &runs[i],
-                                &mut scratch,
-                                &wm,
-                                &mut wc,
-                            ) {
-                                local.push((i, p));
-                            }
-                        }
-                        (local, wm, wc)
-                    })
-                })
-                .collect();
-            for h in handles {
-                // A panicking validation worker forfeits its runs (they stay
-                // unvalidated) instead of taking the whole pipeline down.
-                if let Ok((local, wm, wc)) = h.join() {
-                    metrics.absorb(&wm);
-                    counters.absorb(&wc);
-                    for (i, p) in local {
-                        validated[i] = Some(p);
-                    }
-                }
-            }
-        });
         let mut out: Vec<DetectedPacket> = Vec::new();
-        for p in validated.into_iter().flatten() {
+        for p in found {
             if merge_dedup(&mut out, p, self.params.samples_per_symbol() as f64) {
                 counters.detect_duplicates += 1;
             }
@@ -315,7 +249,7 @@ impl Detector {
     /// Steps 2–4 for one preamble run: whole-symbol validation, coarse
     /// timing/CFO (timed as [`Stage::Detect`]), then the fractional search
     /// (timed as [`Stage::Sync`]).
-    fn validate_and_sync(
+    pub(crate) fn validate_and_sync(
         &self,
         samples: &[Complex32],
         run: &PreambleRun,

@@ -8,6 +8,7 @@ pub mod bec;
 pub mod detect;
 pub mod packet;
 pub mod parallel;
+mod pool;
 pub mod receiver;
 pub mod sic;
 pub mod sigcalc;
@@ -23,6 +24,9 @@ pub use tnb_metrics as metrics;
 pub use detect::{Detector, DetectorConfig};
 pub use packet::{same_transmission, DecodedPacket, DetectedPacket};
 pub use parallel::ParallelReceiver;
+/// The ordered work pool behind [`TnbReceiver`], public so tnb-deploy
+/// fans its shard tasks over the same helper.
+pub use pool::Pool;
 pub use receiver::{DecodeOutcome, DecodeReport, DegradeReason, TnbConfig, TnbReceiver};
 pub use sic::SicConfig;
 pub use streaming::{StreamingConfig, StreamingReceiver};

@@ -6,6 +6,8 @@
 use crate::bec;
 use crate::detect::{merge_dedup, Detector, DetectorConfig};
 use crate::packet::{same_transmission, DecodedPacket, DetectedPacket};
+use crate::parallel::{clusters, degraded_cluster, horizon_samples, MAX_PAYLOAD_LEN};
+use crate::pool::Pool;
 use crate::sic::{self, SicConfig};
 use crate::sigcalc::{estimate_snr_db, SigCalc};
 use crate::thrive::{
@@ -13,7 +15,7 @@ use crate::thrive::{
     ThriveConfig,
 };
 use tnb_dsp::{Complex32, DspScratch};
-use tnb_metrics::{MetricsSnapshot, PipelineMetrics, Stage, StageCounters};
+use tnb_metrics::{PipelineMetrics, Stage, StageCounters};
 use tnb_phy::block;
 use tnb_phy::decoder as phy_decoder;
 use tnb_phy::header::Header;
@@ -144,7 +146,7 @@ pub enum DecodeOutcome {
 }
 
 /// Per-trace decode diagnostics (what happened to every detected
-/// packet), returned by [`TnbReceiver::decode_with_report`].
+/// packet), returned by [`TnbReceiver::decode_observed`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DecodeReport {
     /// Packets found by detection/synchronization.
@@ -165,8 +167,8 @@ pub struct DecodeReport {
     pub outcomes: Vec<DecodeOutcome>,
     /// Deterministic per-stage event counts (windows scanned, sync
     /// attempts, signal vectors computed, peaks considered, CRC checks, …).
-    /// Identical between the serial and parallel receivers on the same
-    /// input; wall-time measurements live in [`MetricsSnapshot`] instead.
+    /// Identical for every worker count on the same input; wall-time
+    /// measurements live in [`tnb_metrics::MetricsSnapshot`] instead.
     pub stages: StageCounters,
 }
 
@@ -250,14 +252,37 @@ impl DecodeReport {
     }
 }
 
-/// The TnB receiver.
-#[derive(Debug)]
+/// The TnB receiver: detection, then independent per-overlap-cluster
+/// decodes fanned over `workers` threads (inline at one worker) and
+/// merged in start order, so the output is byte-identical for any
+/// worker count (see [`crate::parallel`]).
+#[derive(Debug, Clone)]
 pub struct TnbReceiver {
     params: LoRaParams,
     cfg: TnbConfig,
-    /// Diagnostics of the most recent decode (interior mutability keeps
-    /// the decode API `&self`).
-    last_report: std::cell::RefCell<Option<DecodeReport>>,
+    workers: usize,
+    /// Upper bound on payload length used for the clustering horizon.
+    max_payload_len: usize,
+}
+
+/// Per-worker decode state: a scratch reused across the worker's work
+/// items and a metrics sink absorbed into the caller's after the decode.
+struct Lane {
+    scratch: DspScratch,
+    metrics: PipelineMetrics,
+}
+
+impl Lane {
+    fn new(observe: bool) -> Self {
+        Lane {
+            scratch: DspScratch::new(),
+            metrics: if observe {
+                PipelineMetrics::enabled()
+            } else {
+                PipelineMetrics::disabled()
+            },
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -301,68 +326,61 @@ enum Failure {
 }
 
 impl TnbReceiver {
-    /// Builds a receiver with default configuration (full TnB).
+    /// Builds a one-worker receiver with default configuration (full
+    /// TnB).
     pub fn new(params: LoRaParams) -> Self {
         Self::with_config(params, TnbConfig::default())
     }
 
-    /// Builds a receiver with a custom configuration.
+    /// Builds a one-worker receiver with a custom configuration.
     pub fn with_config(params: LoRaParams, cfg: TnbConfig) -> Self {
         TnbReceiver {
             params,
             cfg,
-            last_report: std::cell::RefCell::new(None),
+            workers: 1,
+            max_payload_len: MAX_PAYLOAD_LEN,
         }
+    }
+
+    /// Decodes with up to `workers` threads (clamped to at least 1).
+    pub fn with_workers(mut self, workers: usize) -> Self {
+        self.workers = workers.max(1);
+        self
+    }
+
+    /// Tightens the clustering horizon for deployments whose payloads are
+    /// known to be at most `len` bytes (e.g. fixed-format sensor fleets).
+    /// A tighter horizon splits dense traffic into more, smaller work
+    /// items. `len` must cover every packet actually on the air: a longer
+    /// packet would couple clusters this receiver treats as independent.
+    pub fn with_max_payload_len(mut self, len: usize) -> Self {
+        self.max_payload_len = len.clamp(1, MAX_PAYLOAD_LEN);
+        self
+    }
+
+    /// Number of worker threads used for validation and decoding.
+    pub fn workers(&self) -> usize {
+        self.workers
     }
 
     /// Decodes a single-antenna trace.
     pub fn decode(&self, samples: &[Complex32]) -> Vec<DecodedPacket> {
-        self.decode_multi(&[samples])
+        self.decode_observed(&[samples], &PipelineMetrics::disabled())
+            .0
     }
 
-    /// Like [`Self::decode`], additionally returning per-trace
-    /// diagnostics.
-    pub fn decode_with_report(&self, samples: &[Complex32]) -> (Vec<DecodedPacket>, DecodeReport) {
-        let decoded = self.decode_multi(&[samples]);
-        let report = self.last_report.borrow_mut().take().unwrap_or_default();
-        (decoded, report)
-    }
-
-    /// Decodes a multi-antenna trace. Detection runs on *every* antenna
-    /// and the candidate lists are merged — under fading this is where
-    /// antenna diversity pays (paper §8.5: "high channel fluctuations
-    /// result in a high outage probability for single antenna systems");
-    /// signal vectors are then summed over all antennas.
-    pub fn decode_multi(&self, antennas: &[&[Complex32]]) -> Vec<DecodedPacket> {
-        let metrics = PipelineMetrics::disabled();
-        let (decoded, report) = self.decode_multi_report_observed(antennas, &metrics);
-        *self.last_report.borrow_mut() = Some(report);
-        decoded
-    }
-
-    /// [`Self::decode`] with full observability: returns the decoded
-    /// packets, the per-trace report (including deterministic stage
-    /// counters) and a snapshot of the wall-time/distribution metrics.
-    pub fn decode_with_metrics(
-        &self,
-        samples: &[Complex32],
-    ) -> (Vec<DecodedPacket>, DecodeReport, MetricsSnapshot) {
-        self.decode_multi_with_metrics(&[samples])
-    }
-
-    /// Multi-antenna [`Self::decode_with_metrics`].
-    pub fn decode_multi_with_metrics(
-        &self,
-        antennas: &[&[Complex32]],
-    ) -> (Vec<DecodedPacket>, DecodeReport, MetricsSnapshot) {
-        let metrics = PipelineMetrics::enabled();
-        let (decoded, report) = self.decode_multi_report_observed(antennas, &metrics);
-        (decoded, report, metrics.snapshot())
-    }
-
-    /// The full decode with an externally owned metrics sink — the common
-    /// core of [`Self::decode_multi`] and [`Self::decode_with_metrics`].
-    pub fn decode_multi_report_observed(
+    /// The full decode of a multi-antenna trace, with per-packet
+    /// diagnostics and an observability sink.
+    ///
+    /// Detection runs on *every* antenna and the candidate lists are
+    /// merged — under fading this is where antenna diversity pays (paper
+    /// §8.5: "high channel fluctuations result in a high outage
+    /// probability for single antenna systems"); signal vectors are then
+    /// summed over all antennas. Preamble validation and cluster decodes
+    /// run on the worker pool; each worker records into its own metrics,
+    /// absorbed into `metrics` afterwards (commutative sums), so counters
+    /// and report are the same for any worker count.
+    pub fn decode_observed(
         &self,
         antennas: &[&[Complex32]],
         metrics: &PipelineMetrics,
@@ -370,50 +388,79 @@ impl TnbReceiver {
         if antennas.is_empty() {
             return (Vec::new(), DecodeReport::default());
         }
-        let mut scratch = DspScratch::new();
+        let observe = metrics.is_enabled();
+        let mut pool = Pool::new(self.workers, || Lane::new(observe));
         let detector = Detector::with_config(self.params, self.cfg.detector);
         let l = self.params.samples_per_symbol() as f64;
         let mut counters = StageCounters::default();
         let mut detected: Vec<DetectedPacket> = Vec::new();
         for ant in antennas {
-            for p in detector.detect_observed(ant, &mut scratch, metrics, &mut counters) {
+            let lane = pool.lane();
+            let runs = detector.scan_observed(ant, &mut lane.scratch, &lane.metrics, &mut counters);
+            let found = pool.map(&runs, |lane, run| {
+                let mut c = StageCounters::default();
+                let p =
+                    detector.validate_and_sync(ant, run, &mut lane.scratch, &lane.metrics, &mut c);
+                (p, c)
+            });
+            // A run whose validation panicked is forfeited alone.
+            let found: Vec<DetectedPacket> = found
+                .into_iter()
+                .flatten()
+                .filter_map(|(p, c)| {
+                    counters.absorb(&c);
+                    p
+                })
+                .collect();
+            for p in detector.merge_runs(found, &mut counters) {
                 if merge_dedup(&mut detected, p, l) {
                     counters.detect_duplicates += 1;
                 }
             }
         }
         detected.sort_by(|a, b| a.start.total_cmp(&b.start));
-        let (decoded, mut report) = self.decode_detected_observed(
+
+        let clusters = clusters(
             &detected,
-            detector.demodulator(),
-            antennas,
-            &mut scratch,
-            metrics,
+            horizon_samples(self.params, self.max_payload_len),
         );
+        if observe {
+            metrics.clusters.set(clusters.len() as f64);
+            metrics
+                .workers
+                .set(self.workers.min(clusters.len()).max(1) as f64);
+        }
+        let demod = detector.demodulator();
+        let results = pool.map(&clusters, |lane, c| {
+            self.decode_unit(
+                &detected[c.clone()],
+                demod,
+                antennas,
+                &mut lane.scratch,
+                &lane.metrics,
+            )
+        });
+        for lane in pool.into_lanes() {
+            metrics.absorb(&lane.metrics);
+        }
+        // Clusters are disjoint start-sample ranges in ascending order, so
+        // concatenating in cluster order yields start order.
+        let mut decoded = Vec::new();
+        let mut report = DecodeReport::default();
+        for (r, c) in results.into_iter().zip(&clusters) {
+            let (d, r) = r.unwrap_or_else(|| degraded_cluster(&detected[c.clone()]));
+            decoded.extend(d);
+            report.absorb(&r);
+        }
         report.stages.absorb(&counters);
         (decoded, report)
     }
 
-    /// Decodes given pre-detected packets (used by the evaluation harness
-    /// to share detection across schemes).
-    pub fn decode_detected(
-        &self,
-        detected: &[DetectedPacket],
-        demod: &tnb_phy::demodulate::Demodulator,
-        antennas: &[&[Complex32]],
-    ) -> Vec<DecodedPacket> {
-        let mut scratch = DspScratch::new();
-        let (decoded, report) =
-            self.decode_detected_report(detected, demod, antennas, &mut scratch);
-        *self.last_report.borrow_mut() = Some(report);
-        decoded
-    }
-
-    /// [`Self::decode_detected`] with a caller-owned [`DspScratch`],
-    /// returning the report directly instead of stashing it. This is the
-    /// worker-friendly entry point: it takes `&self` without touching the
-    /// receiver's interior-mutable report slot, and reuses the scratch's
-    /// buffers and pools across work items.
+    /// Decodes pre-detected packets (start-sorted, as detection returns
+    /// them) as one unit on a caller-owned [`DspScratch`]: no clustering,
+    /// no worker pool. Evaluation harnesses use it to share detection
+    /// across schemes, and tests as the reference every clustered decode
+    /// must reproduce.
     pub fn decode_detected_report(
         &self,
         detected: &[DetectedPacket],
@@ -421,14 +468,19 @@ impl TnbReceiver {
         antennas: &[&[Complex32]],
         scratch: &mut DspScratch,
     ) -> (Vec<DecodedPacket>, DecodeReport) {
-        let metrics = PipelineMetrics::disabled();
-        self.decode_detected_observed(detected, demod, antennas, scratch, &metrics)
+        self.decode_unit(
+            detected,
+            demod,
+            antennas,
+            scratch,
+            &PipelineMetrics::disabled(),
+        )
     }
 
-    /// [`Self::decode_detected_report`] with an observability sink for
-    /// stage wall times and distributions; the deterministic stage
-    /// counters ride in the returned report.
-    pub fn decode_detected_observed(
+    /// Thrive/BEC passes and the SIC rescue over one decode unit (an
+    /// overlap cluster, or a whole detection list); stage wall times go to
+    /// `metrics`, deterministic counters ride in the returned report.
+    fn decode_unit(
         &self,
         detected: &[DetectedPacket],
         demod: &tnb_phy::demodulate::Demodulator,
@@ -633,14 +685,14 @@ impl TnbReceiver {
     /// that fail to decode are dropped — so a trace where no rescue fires
     /// decodes bit-identically to SIC-off.
     ///
-    /// Determinism across receiver flavours: components are refinements
-    /// of the parallel receiver's overlap clusters (actual packet extents
-    /// are always inside the cluster horizon), every window bound derives
-    /// from the component's own members, the re-detection scan stops one
-    /// symbol past the component (a foreign preamble can contribute at
-    /// most ~4.5 symbols of run, below the detector's minimum), and the
-    /// residual is copied from the original trace — which serial and
-    /// parallel receivers see identically.
+    /// Determinism across decode units: components are refinements of
+    /// the receiver's overlap clusters (actual packet extents are always
+    /// inside the cluster horizon), every window bound derives from the
+    /// component's own members, the re-detection scan stops one symbol
+    /// past the component (a foreign preamble can contribute at most ~4.5
+    /// symbols of run, below the detector's minimum), and the residual is
+    /// copied from the original trace — which a whole-list decode and a
+    /// per-cluster decode see identically.
     fn run_sic_rescue(
         &self,
         tracked: &mut Vec<Tracked>,

@@ -1,14 +1,16 @@
 //! Deterministic fault-injection matrix: every fault from
-//! [`FaultPlan::matrix`] is run through the serial, parallel and
-//! streaming receivers. The pipeline must never panic, every detected
-//! packet must be accounted for (decoded or degraded-with-reason), and
-//! the clean plan must leave decode output byte-identical to decoding
-//! the untouched trace.
+//! [`FaultPlan::matrix`] is run through the receiver at one and at
+//! three workers and through the streaming receiver. The pipeline must
+//! never panic, every detected packet must be accounted for (decoded or
+//! degraded-with-reason), and the clean plan must leave decode output
+//! byte-identical to decoding the untouched trace.
+
+mod common;
 
 use tnb_channel::trace::{PacketConfig, TraceBuilder};
 use tnb_channel::FaultPlan;
 use tnb_core::streaming::{StreamingConfig, StreamingReceiver};
-use tnb_core::{DecodeReport, ParallelReceiver, SicConfig, TnbConfig, TnbReceiver};
+use tnb_core::{DecodeReport, DecodedPacket, SicConfig, TnbConfig};
 use tnb_dsp::Complex32;
 use tnb_phy::{CodingRate, LoRaParams, SpreadingFactor};
 
@@ -56,20 +58,20 @@ fn sic_cfg() -> TnbConfig {
     }
 }
 
-fn serial_decode(samples: &[Complex32]) -> (Vec<Vec<u8>>, DecodeReport) {
-    let (d, r, _) = TnbReceiver::new(params()).decode_with_metrics(samples);
+fn payloads((d, r): (Vec<DecodedPacket>, DecodeReport)) -> (Vec<Vec<u8>>, DecodeReport) {
     (d.into_iter().map(|p| p.payload).collect(), r)
+}
+
+fn serial_decode(samples: &[Complex32]) -> (Vec<Vec<u8>>, DecodeReport) {
+    payloads(common::decode(params(), TnbConfig::default(), 1, samples))
 }
 
 fn serial_decode_sic(samples: &[Complex32]) -> (Vec<Vec<u8>>, DecodeReport) {
-    let (d, r, _) = TnbReceiver::with_config(params(), sic_cfg()).decode_with_metrics(samples);
-    (d.into_iter().map(|p| p.payload).collect(), r)
+    payloads(common::decode(params(), sic_cfg(), 1, samples))
 }
 
 fn parallel_decode_sic(samples: &[Complex32]) -> (Vec<Vec<u8>>, DecodeReport) {
-    let (d, r, _) =
-        ParallelReceiver::with_config(params(), sic_cfg(), 3).decode_with_metrics(samples);
-    (d.into_iter().map(|p| p.payload).collect(), r)
+    payloads(common::decode(params(), sic_cfg(), 3, samples))
 }
 
 fn streaming_decode_sic(samples: &[Complex32]) -> (Vec<Vec<u8>>, DecodeReport) {
@@ -88,8 +90,7 @@ fn streaming_decode_sic(samples: &[Complex32]) -> (Vec<Vec<u8>>, DecodeReport) {
 }
 
 fn parallel_decode(samples: &[Complex32]) -> (Vec<Vec<u8>>, DecodeReport) {
-    let (d, r, _) = ParallelReceiver::new(params(), 3).decode_with_metrics(samples);
-    (d.into_iter().map(|p| p.payload).collect(), r)
+    payloads(common::decode(params(), TnbConfig::default(), 3, samples))
 }
 
 fn streaming_decode(samples: &[Complex32]) -> (Vec<Vec<u8>>, DecodeReport) {
@@ -245,15 +246,21 @@ fn receivers_agree_on_degradation_counts() {
     let base = collision_trace();
     for (name, plan) in FaultPlan::matrix(SEED) {
         let faulty = plan.apply(&base);
-        let (sp, sr) = serial_decode(&faulty);
-        let (pp, pr) = parallel_decode(&faulty);
-        assert_eq!(sp, pp, "{name}: serial and parallel payloads agree");
-        assert_eq!(sr.stages, pr.stages, "{name}: deterministic counters agree");
-        assert_eq!(
-            sr.degraded(),
-            pr.degraded(),
-            "{name}: degraded counts agree"
-        );
+        let (sp, sr) = payloads(common::reference(params(), TnbConfig::default(), &faulty));
+        for workers in [1, 2, 8] {
+            let (pp, pr) = payloads(common::decode(
+                params(),
+                TnbConfig::default(),
+                workers,
+                &faulty,
+            ));
+            assert_eq!(
+                sp, pp,
+                "{name}/{workers}: payloads agree with the reference"
+            );
+            assert_eq!(sr.stages, pr.stages, "{name}/{workers}: counters agree");
+            assert_eq!(sr.degraded(), pr.degraded(), "{name}/{workers}: degraded");
+        }
     }
 }
 

@@ -1,11 +1,20 @@
-//! Determinism lockdown for the parallel receiver: the parallel pipeline
-//! must be byte-identical to the serial [`TnbReceiver`] for any worker
-//! count, and a seeded collision trace must decode to exact payloads
-//! with exact report counters.
+//! Determinism lockdown for the clustered, pooled decode: for any worker
+//! count it must be byte-identical to one unclustered decode of the
+//! whole detection list, and a seeded collision trace must decode to
+//! exact payloads with exact report counters.
+
+mod common;
 
 use tnb_channel::trace::{PacketConfig, Trace, TraceBuilder};
-use tnb_core::{ParallelReceiver, TnbReceiver};
+use tnb_core::{PipelineMetrics, TnbConfig, TnbReceiver};
 use tnb_phy::{CodingRate, LoRaParams, SpreadingFactor};
+
+// The decoder holds no interior-mutable state: one receiver can be
+// shared by reference across threads.
+const _: fn() = || {
+    fn s<T: Sync>() {}
+    s::<TnbReceiver>();
+};
 
 fn params() -> LoRaParams {
     LoRaParams::new(SpreadingFactor::SF8, CodingRate::CR4)
@@ -57,10 +66,10 @@ fn staggered_trace(seed: u64) -> Trace {
 }
 
 #[test]
-fn seeded_collision_decodes_exact_payloads_serial_and_parallel() {
+fn seeded_collision_decodes_exact_payloads_at_every_worker_count() {
     let (trace, payloads) = three_packet_collision(7);
-    let serial = TnbReceiver::new(params());
-    let (decoded, report) = serial.decode_with_report(trace.samples());
+    let cfg = TnbConfig::default();
+    let (decoded, report) = common::reference(params(), cfg, trace.samples());
 
     // All three payloads recovered, in start order, bit-exact.
     assert_eq!(decoded.len(), 3, "report: {report:?}");
@@ -77,25 +86,29 @@ fn seeded_collision_decodes_exact_payloads_serial_and_parallel() {
     assert_eq!(report.payload_failures, 0);
     assert_eq!(report.truncated, 0);
 
-    // The parallel receiver reproduces both packets and counters.
-    for workers in [1, 4] {
-        let par = ParallelReceiver::new(params(), workers).with_max_payload_len(16);
-        let (pd, pr) = par.decode_with_report(trace.samples());
+    // The clustered decode reproduces both packets and counters.
+    for workers in [1, 2, 8] {
+        let rx = TnbReceiver::with_config(params(), cfg)
+            .with_workers(workers)
+            .with_max_payload_len(16);
+        let (pd, pr) = rx.decode_observed(&[trace.samples()], &PipelineMetrics::disabled());
         assert_eq!(pd, decoded, "workers={workers}");
         assert_eq!(pr, report, "workers={workers}");
     }
 }
 
 #[test]
-fn parallel_is_byte_identical_to_serial_across_worker_counts() {
+fn clustered_decode_is_byte_identical_to_reference_across_worker_counts() {
     for seed in [3u64, 11] {
         let trace = staggered_trace(seed);
-        let serial = TnbReceiver::new(params());
-        let (sd, sr) = serial.decode_with_report(trace.samples());
-        assert!(!sd.is_empty(), "seed {seed}: serial decoded nothing");
+        let cfg = TnbConfig::default();
+        let (sd, sr) = common::reference(params(), cfg, trace.samples());
+        assert!(!sd.is_empty(), "seed {seed}: reference decoded nothing");
         for workers in [1usize, 2, 8] {
-            let par = ParallelReceiver::new(params(), workers).with_max_payload_len(16);
-            let (pd, pr) = par.decode_with_report(trace.samples());
+            let rx = TnbReceiver::with_config(params(), cfg)
+                .with_workers(workers)
+                .with_max_payload_len(16);
+            let (pd, pr) = rx.decode_observed(&[trace.samples()], &PipelineMetrics::disabled());
             assert_eq!(pd, sd, "seed={seed} workers={workers}");
             assert_eq!(pr, sr, "seed={seed} workers={workers}");
         }
@@ -103,16 +116,17 @@ fn parallel_is_byte_identical_to_serial_across_worker_counts() {
 }
 
 #[test]
-fn parallel_matches_serial_with_untightened_horizon() {
+fn clustered_decode_matches_reference_with_untightened_horizon() {
     // Without the payload-length hint every packet may land in one
     // cluster; the result must still be identical.
     let trace = staggered_trace(5);
-    let serial = TnbReceiver::new(params());
-    let (sd, sr) = serial.decode_with_report(trace.samples());
-    let par = ParallelReceiver::new(params(), 4);
-    let (pd, pr) = par.decode_with_report(trace.samples());
-    assert_eq!(pd, sd);
-    assert_eq!(pr, sr);
+    let cfg = TnbConfig::default();
+    let (sd, sr) = common::reference(params(), cfg, trace.samples());
+    for workers in [1usize, 2, 8] {
+        let (pd, pr) = common::decode(params(), cfg, workers, trace.samples());
+        assert_eq!(pd, sd, "workers={workers}");
+        assert_eq!(pr, sr, "workers={workers}");
+    }
 }
 
 #[test]
@@ -120,8 +134,7 @@ fn empty_trace_decodes_to_nothing() {
     let mut b = TraceBuilder::new(params(), 42);
     b.set_min_len(40_000);
     let noise_only = b.build();
-    let par = ParallelReceiver::new(params(), 4);
-    let (pd, pr) = par.decode_with_report(noise_only.samples());
+    let (pd, pr) = common::decode(params(), TnbConfig::default(), 4, noise_only.samples());
     assert!(pd.is_empty());
     assert_eq!(pr.detected, 0);
 }

@@ -1,7 +1,7 @@
 //! End-to-end TnB receiver tests on synthetic traces.
 
 use tnb_channel::trace::{PacketConfig, TraceBuilder};
-use tnb_core::{TnbConfig, TnbReceiver};
+use tnb_core::{PipelineMetrics, TnbConfig, TnbReceiver};
 use tnb_phy::{CodingRate, LoRaParams, SpreadingFactor};
 
 fn params(sf: SpreadingFactor, cr: CodingRate) -> LoRaParams {
@@ -209,7 +209,9 @@ fn two_antennas_decode() {
     );
     let t = b.build();
     let refs: Vec<&[tnb_dsp::Complex32]> = t.antennas.iter().map(|a| a.as_slice()).collect();
-    let decoded = TnbReceiver::new(p).decode_multi(&refs);
+    let decoded = TnbReceiver::new(p)
+        .decode_observed(&refs, &PipelineMetrics::disabled())
+        .0;
     assert_eq!(decoded.len(), 1);
     assert_eq!(decoded[0].payload, payload);
 }
@@ -240,7 +242,7 @@ fn decode_report_accounts_for_every_detection() {
     );
     let t = b.build();
     let rx = TnbReceiver::new(p);
-    let (decoded, report) = rx.decode_with_report(t.samples());
+    let (decoded, report) = rx.decode_observed(&[t.samples()], &PipelineMetrics::disabled());
     assert_eq!(report.detected, 2);
     assert_eq!(report.decoded, decoded.len());
     assert_eq!(
@@ -265,7 +267,7 @@ fn decode_report_flags_truncation() {
     let t = b.build();
     let cut = &t.samples()[..1_000 + p.preamble_samples() + 12 * p.samples_per_symbol()];
     let rx = TnbReceiver::new(p);
-    let (decoded, report) = rx.decode_with_report(cut);
+    let (decoded, report) = rx.decode_observed(&[cut], &PipelineMetrics::disabled());
     assert!(decoded.is_empty());
     assert_eq!(report.detected, 1);
     assert_eq!(report.truncated, 1, "{report:?}");

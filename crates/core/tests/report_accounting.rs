@@ -3,7 +3,7 @@
 //! detected packet, across clean decodes, degraded decodes, and merges.
 
 use tnb_channel::trace::{PacketConfig, TraceBuilder};
-use tnb_core::{DecodeReport, TnbReceiver};
+use tnb_core::{DecodeReport, PipelineMetrics, TnbReceiver};
 use tnb_phy::{CodingRate, LoRaParams, SpreadingFactor};
 
 fn params() -> LoRaParams {
@@ -45,7 +45,7 @@ fn accounting_balances_for_mixed_outcomes() {
     let t = b.build();
     let cut = &t.samples()[..2_000 + 30 * l + p.preamble_samples() + 10 * l];
     let rx = TnbReceiver::new(p);
-    let (decoded, report) = rx.decode_with_report(cut);
+    let (decoded, report) = rx.decode_observed(&[cut], &PipelineMetrics::disabled());
     assert!(report.detected >= 2, "{report:?}");
     assert!(report.accounting_ok(), "{report:?}");
     assert_eq!(report.outcomes.len(), report.detected);
@@ -59,7 +59,7 @@ fn accounting_balances_on_empty_and_clean_traces() {
     let rx = TnbReceiver::new(p);
 
     let quiet = vec![tnb_dsp::Complex32::ZERO; 40_000];
-    let (_, report) = rx.decode_with_report(&quiet);
+    let (_, report) = rx.decode_observed(&[&quiet], &PipelineMetrics::disabled());
     assert_eq!(report.detected, 0);
     assert!(report.accounting_ok(), "{report:?}");
 
@@ -73,7 +73,7 @@ fn accounting_balances_on_empty_and_clean_traces() {
         },
     );
     let t = b.build();
-    let (decoded, report) = rx.decode_with_report(t.samples());
+    let (decoded, report) = rx.decode_observed(&[t.samples()], &PipelineMetrics::disabled());
     assert_eq!(decoded.len(), 1);
     assert!(report.accounting_ok(), "{report:?}");
 }
@@ -134,7 +134,7 @@ fn absorb_preserves_accounting() {
             },
         );
         let t = b.build();
-        let (_, report) = rx.decode_with_report(t.samples());
+        let (_, report) = rx.decode_observed(&[t.samples()], &PipelineMetrics::disabled());
         assert!(report.accounting_ok(), "{report:?}");
         total.absorb(&report);
     }

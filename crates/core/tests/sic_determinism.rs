@@ -1,11 +1,14 @@
 //! SIC determinism and rescue-regression tests: the near-far collision
-//! trace must decode byte-identically across the serial, parallel (any
-//! worker count) and streaming (any chunking) receivers with SIC on, and
-//! SIC must rescue the weak packet where plain TnB provably fails.
+//! trace must decode byte-identically in the unclustered reference, the
+//! receiver at any worker count and the streaming receiver (any
+//! chunking) with SIC on, and SIC must rescue the weak packet where
+//! plain TnB provably fails.
+
+mod common;
 
 use tnb_channel::trace::{PacketConfig, TraceBuilder};
 use tnb_core::streaming::{StreamingConfig, StreamingReceiver};
-use tnb_core::{DecodeReport, ParallelReceiver, SicConfig, TnbConfig, TnbReceiver};
+use tnb_core::{DecodeReport, SicConfig, TnbConfig};
 use tnb_dsp::Complex32;
 use tnb_phy::{CodingRate, LoRaParams, SpreadingFactor};
 
@@ -106,18 +109,16 @@ fn near_far_reports_byte_identical_across_receivers() {
     let p = params();
     let (trace, weak, strong) = near_far_trace(p, 42, 3.0, 15.0);
 
-    let (serial_decoded, serial_report) = TnbReceiver::with_config(p, sic_on())
-        .decode_multi_report_observed(&[&trace], &tnb_core::PipelineMetrics::disabled());
-    let reference = report_json(&serial_report);
-    let payloads: Vec<Vec<u8>> = serial_decoded.iter().map(|d| d.payload.clone()).collect();
+    let (ref_decoded, ref_report) = common::reference(p, sic_on(), &trace);
+    let reference = report_json(&ref_report);
+    let payloads: Vec<Vec<u8>> = ref_decoded.iter().map(|d| d.payload.clone()).collect();
     assert!(payloads.contains(&weak) && payloads.contains(&strong));
 
     for workers in [1usize, 2, 8] {
-        let (decoded, report) = ParallelReceiver::with_config(p, sic_on(), workers)
-            .decode_multi_report_observed(&[&trace], &tnb_core::PipelineMetrics::disabled());
+        let (decoded, report) = common::decode(p, sic_on(), workers, &trace);
         assert_eq!(report_json(&report), reference, "workers={workers}");
-        let par: Vec<Vec<u8>> = decoded.iter().map(|d| d.payload.clone()).collect();
-        assert_eq!(par, payloads, "workers={workers}");
+        let got: Vec<Vec<u8>> = decoded.iter().map(|d| d.payload.clone()).collect();
+        assert_eq!(got, payloads, "workers={workers}");
     }
 
     // Streaming: an odd chunk size and a power of two. The trace is
@@ -138,8 +139,7 @@ fn sic_rescues_where_plain_tnb_fails() {
     for delta in [15.0f32, 18.0] {
         let (trace, weak, strong) = near_far_trace(p, 42, 3.0, delta);
 
-        let (plain_decoded, plain_report) = TnbReceiver::new(p)
-            .decode_multi_report_observed(&[&trace], &tnb_core::PipelineMetrics::disabled());
+        let (plain_decoded, plain_report) = common::decode(p, TnbConfig::default(), 1, &trace);
         assert!(
             !plain_decoded.iter().any(|d| d.payload == weak),
             "plain TnB unexpectedly decodes the weak packet at delta={delta}"
@@ -147,8 +147,7 @@ fn sic_rescues_where_plain_tnb_fails() {
         assert!(plain_decoded.iter().any(|d| d.payload == strong));
         assert_eq!(plain_report.second_pass_rescues, 0);
 
-        let (sic_decoded, sic_report) = TnbReceiver::with_config(p, sic_on())
-            .decode_multi_report_observed(&[&trace], &tnb_core::PipelineMetrics::disabled());
+        let (sic_decoded, sic_report) = common::decode(p, sic_on(), 1, &trace);
         let rescued = sic_decoded
             .iter()
             .find(|d| d.payload == weak)
@@ -181,10 +180,8 @@ fn sic_off_is_unchanged_and_clean_traces_match() {
         },
     );
     let trace = b.build().samples().to_vec();
-    let (d_off, r_off) = TnbReceiver::new(p)
-        .decode_multi_report_observed(&[&trace], &tnb_core::PipelineMetrics::disabled());
-    let (d_on, r_on) = TnbReceiver::with_config(p, sic_on())
-        .decode_multi_report_observed(&[&trace], &tnb_core::PipelineMetrics::disabled());
+    let (d_off, r_off) = common::decode(p, TnbConfig::default(), 1, &trace);
+    let (d_on, r_on) = common::decode(p, sic_on(), 1, &trace);
     assert_eq!(d_off.len(), d_on.len());
     for (a, b) in d_off.iter().zip(&d_on) {
         assert_eq!(a.payload, b.payload);

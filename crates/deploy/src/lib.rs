@@ -2,7 +2,7 @@
 //!
 //! The paper evaluates TnB on single traces; network-level work such as
 //! SS5G treats collision resolution as a *deployment* property — goodput
-//! vs offered load, delay, per-node fairness — across thousands to
+//! vs offered load, per-node fairness — across thousands to
 //! millions of devices and multiple gateways. This crate provides that
 //! layer as a deterministic discrete-event simulation:
 //!
@@ -20,9 +20,9 @@
 //!   stream is byte-identical — and a city-long trace is never resident
 //!   in memory.
 //! - **Sharded decode** ([`run`]): the timeline splits into fixed-size
-//!   shards decoded by a work-stealing `std::thread::scope` pool and
-//!   merged in shard order, so results are byte-identical for any
-//!   worker count.
+//!   shards decoded over the decoder's ordered work pool
+//!   ([`tnb_core::Pool`]) and merged in shard order, so results are
+//!   byte-identical for any worker count.
 //! - **Network layer** ([`network`]): gateways emit the PR 5
 //!   Semtech-style uplink lines; the network server parses those lines,
 //!   deduplicates cross-gateway copies of the same transmission, and

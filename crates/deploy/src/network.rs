@@ -12,9 +12,7 @@
 //! deterministic regardless of which gateway's feed arrives first.
 
 use crate::synth::Scene;
-use std::collections::BTreeMap;
-use tnb_phy::params::{CodingRate, LoRaParams, SpreadingFactor};
-use tnb_phy::Transmitter;
+use std::collections::{BTreeMap, BTreeSet};
 use tnb_sim::traffic::parse_payload;
 
 /// One deduped network-level delivery.
@@ -32,9 +30,6 @@ pub struct Delivery {
     pub sf: u8,
     /// Uplink channel (wideband feeds only).
     pub channel: Option<usize>,
-    /// End-to-end delay: scheduled transmit start to decoded packet
-    /// end, microseconds of sample-clock time.
-    pub delay_us: u64,
     /// Gateways that reported a copy of this transmission.
     pub copies: u32,
 }
@@ -160,47 +155,13 @@ fn parse_datr(datr: &str) -> Option<(u8, u8)> {
     Some((sf, cr))
 }
 
-fn sf_from_value(v: u8) -> Option<SpreadingFactor> {
-    Some(match v {
-        7 => SpreadingFactor::SF7,
-        8 => SpreadingFactor::SF8,
-        9 => SpreadingFactor::SF9,
-        10 => SpreadingFactor::SF10,
-        11 => SpreadingFactor::SF11,
-        12 => SpreadingFactor::SF12,
-        _ => return None,
-    })
-}
-
-fn cr_from_value(v: u8) -> Option<CodingRate> {
-    Some(match v {
-        1 => CodingRate::CR1,
-        2 => CodingRate::CR2,
-        3 => CodingRate::CR3,
-        4 => CodingRate::CR4,
-        _ => return None,
-    })
-}
-
-/// Airtime (µs) of a payload of `size` bytes at the line's data rate —
-/// computed from the uplink fields alone, as a real server would.
-fn airtime_us(sf: u8, cr: u8, size: usize) -> Option<u64> {
-    let params = LoRaParams::new(sf_from_value(sf)?, cr_from_value(cr)?);
-    Some((Transmitter::new(params).packet_airtime(size) * 1e6) as u64)
-}
-
 impl NetworkReport {
     /// Builds the network view from each gateway's uplink feed (index =
-    /// gateway id). The scene supplies the schedule for ghost detection
-    /// and delay accounting; dedup itself uses only the lines.
+    /// gateway id). The scene supplies the schedule for ghost detection;
+    /// dedup itself uses only the lines.
     pub fn collect(scene: &Scene, uplinks: &[Vec<String>]) -> NetworkReport {
-        let fs = scene.cfg.sample_rate();
-        // Scheduled transmit start in µs of sample-clock time.
-        let sched_us: BTreeMap<(u32, u32), u64> = scene
-            .schedule
-            .iter()
-            .map(|t| ((t.node, t.seq), (t.start / fs * 1e6) as u64))
-            .collect();
+        let scheduled: BTreeSet<(u32, u32)> =
+            scene.schedule.iter().map(|t| (t.node, t.seq)).collect();
         let mut best: BTreeMap<(u32, u32), Delivery> = BTreeMap::new();
         let mut ghosts = 0u64;
         for (gw, lines) in uplinks.iter().enumerate() {
@@ -213,11 +174,10 @@ impl NetworkReport {
                     ghosts += 1;
                     continue;
                 };
-                let Some(&sent_us) = sched_us.get(&(node, seq)) else {
+                if !scheduled.contains(&(node, seq)) {
                     ghosts += 1;
                     continue;
-                };
-                let end_us = p.tmst + airtime_us(p.sf, p.cr, p.size).unwrap_or(0);
+                }
                 let d = Delivery {
                     node,
                     seq,
@@ -225,7 +185,6 @@ impl NetworkReport {
                     snr_db: p.snr_db,
                     sf: p.sf,
                     channel: p.channel,
-                    delay_us: end_us.saturating_sub(sent_us),
                     copies: 1,
                 };
                 match best.get_mut(&(node, seq)) {
@@ -283,21 +242,6 @@ impl NetworkReport {
     pub fn delivered_for_sf(&self, sf: u8) -> usize {
         self.deliveries.iter().filter(|d| d.sf == sf).count()
     }
-
-    /// `(p50, p95, p99)` of delivery delay in milliseconds (zeros when
-    /// nothing was delivered).
-    pub fn delay_percentiles_ms(&self) -> (f64, f64, f64) {
-        if self.deliveries.is_empty() {
-            return (0.0, 0.0, 0.0);
-        }
-        let mut d: Vec<u64> = self.deliveries.iter().map(|d| d.delay_us).collect();
-        d.sort_unstable();
-        let pick = |q: f64| -> f64 {
-            let i = ((d.len() - 1) as f64 * q).round() as usize;
-            d.get(i).copied().unwrap_or(0) as f64 / 1e3
-        };
-        (pick(0.50), pick(0.95), pick(0.99))
-    }
 }
 
 #[cfg(test)]
@@ -327,6 +271,7 @@ mod tests {
     fn uplink_line_roundtrips_through_parser() {
         use tnb_core::DecodedPacket;
         use tnb_phy::header::Header;
+        use tnb_phy::params::{CodingRate, LoRaParams, SpreadingFactor};
         let params = LoRaParams::new(SpreadingFactor::SF8, CodingRate::CR4);
         let payload = tnb_sim::traffic::make_payload(70_000, 3);
         let pkt = DecodedPacket {

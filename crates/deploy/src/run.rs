@@ -5,20 +5,17 @@
 //! config — never of the worker count). Each task synthesizes its shard
 //! window with pre/post padding, streams it through a fresh
 //! [`StreamingReceiver`] (or [`WidebandReceiver`]), and keeps only the
-//! decodes whose start falls inside the shard it owns. A
-//! work-stealing `std::thread::scope` pool executes tasks in any order;
-//! results land in a slot per task id and merge in task order, so the
-//! output — down to the uplink-line bytes — is identical for 1, 2 or 8
-//! workers.
+//! decodes whose start falls inside the shard it owns. The decoder's
+//! ordered work pool ([`tnb_core::Pool`]) executes tasks in any order
+//! and returns results in task order, so the output — down to the
+//! uplink-line bytes — is identical for 1, 2 or 8 workers.
 
 use crate::network::NetworkReport;
 use crate::synth::Scene;
 use crate::TrafficModel;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use tnb_core::{
-    same_transmission, DecodedPacket, SicConfig, StreamingConfig, StreamingReceiver, TnbConfig,
-    WidebandConfig, WidebandReceiver,
+    same_transmission, DecodedPacket, Pool, SicConfig, StreamingConfig, StreamingReceiver,
+    TnbConfig, WidebandConfig, WidebandReceiver,
 };
 use tnb_dsp::ChannelizerConfig;
 use tnb_gateway::uplink;
@@ -91,27 +88,10 @@ pub fn run_deploy(scene: &Scene, workers: usize) -> DeployReport {
         }
     }
 
-    let results: Mutex<Vec<Option<Vec<Heard>>>> = Mutex::new(vec![None; tasks.len()]);
-    let next = AtomicUsize::new(0);
-    let n_workers = workers.clamp(1, tasks.len().max(1));
-    std::thread::scope(|s| {
-        for _ in 0..n_workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(task) = tasks.get(i) else { break };
-                let heard = decode_task(scene, *task, total, shard_len, n_shards);
-                if let Ok(mut slots) = results.lock() {
-                    if let Some(slot) = slots.get_mut(i) {
-                        *slot = Some(heard);
-                    }
-                }
-            });
-        }
+    // A task whose decode panicked contributes nothing.
+    let slots = Pool::new(workers, || ()).map(&tasks, |_, task| {
+        decode_task(scene, *task, total, shard_len, n_shards)
     });
-    let slots = match results.into_inner() {
-        Ok(v) => v,
-        Err(e) => e.into_inner(),
-    };
 
     // Merge in task order: per (gateway, SF), shards concatenate in
     // time order and boundary duplicates collapse under the same
@@ -320,14 +300,12 @@ impl DeployReport {
                 format!("{{\"bursty\":{{\"max_burst\":{max_burst}}}}}")
             }
         };
-        let (p50, p95, p99) = self.network.delay_percentiles_ms();
         format!(
             "{{\"deploy\":{{\"nodes\":{},\"gateways\":{},\"load_pps\":{:.4},\
              \"duration_s\":{:.4},\"seed\":{},\"traffic\":{},\"sic\":{},\
              \"wideband\":{},\"sfs\":[{}],\"offered\":{}}},\
              \"network\":{{\"delivered\":{},\"duplicates\":{},\"ghosts\":{},\
              \"goodput_pps\":{:.4},\"prr\":{:.4},\
-             \"delay_ms\":{{\"p50\":{:.3},\"p95\":{:.3},\"p99\":{:.3}}},\
              \"per_gateway\":[{}],\"per_sf\":[{}]}}}}",
             self.nodes,
             self.gateways,
@@ -344,9 +322,6 @@ impl DeployReport {
             self.network.ghosts,
             self.network.goodput_pps(self.duration_s),
             self.network.prr(self.offered),
-            p50,
-            p95,
-            p99,
             per_gw.join(","),
             per_sf.join(","),
         )
@@ -354,11 +329,10 @@ impl DeployReport {
 
     /// One-screen human summary.
     pub fn summary(&self) -> String {
-        let (p50, p95, p99) = self.network.delay_percentiles_ms();
         let mut s = format!(
             "deploy: {} nodes, {} gateways, {:.1} pps offered over {:.1} s (seed {})\n\
              offered {} | delivered {} | goodput {:.2} pps | PRR {:.3}\n\
-             cross-gateway duplicates {} | ghosts {} | delay ms p50 {:.2} p95 {:.2} p99 {:.2}\n",
+             cross-gateway duplicates {} | ghosts {}\n",
             self.nodes,
             self.gateways,
             self.load_pps,
@@ -370,9 +344,6 @@ impl DeployReport {
             self.network.prr(self.offered),
             self.network.duplicates,
             self.network.ghosts,
-            p50,
-            p95,
-            p99,
         );
         for (g, lines) in self.uplinks.iter().enumerate() {
             s.push_str(&format!(

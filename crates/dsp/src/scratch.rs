@@ -7,8 +7,8 @@
 //! lives in a [`DspScratch`] that the caller owns and reuses.
 //!
 //! A `DspScratch` is deliberately *not* `Sync`: each worker thread of the
-//! parallel receiver owns its own scratch, so the hot loop never takes a
-//! lock. Construction is cheap (empty vectors, no plans); plans and
+//! receiver's work pool owns its own scratch, so the hot loop never takes
+//! a lock. Construction is cheap (empty vectors, no plans); plans and
 //! buffers grow lazily to the largest size seen and are then reused
 //! indefinitely.
 

@@ -19,7 +19,7 @@
 //! frames of a stream that already holds its fair share
 //! (`shed_frames`). Each connection is fault-contained: a panicking
 //! stream decode is caught ([`std::panic::catch_unwind`], same policy
-//! as the parallel receiver's worker containment), the stream's
+//! as the receiver's per-cluster containment), the stream's
 //! receiver is restarted, and every other stream and connection keeps
 //! decoding. A malformed frame yields a typed
 //! [`crate::wire::WireError`], one `error` JSON line, and closes only

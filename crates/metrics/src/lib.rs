@@ -7,8 +7,8 @@
 //! - [`StageCounters`] holds *deterministic* per-stage event counts
 //!   (windows scanned, sync attempts, signal vectors computed, peaks
 //!   considered, CRC checks, …). These are tied to per-slot/per-packet
-//!   events, so the serial receiver and the parallel receiver produce the
-//!   *same* totals on the same input — they ride inside `DecodeReport`
+//!   events, so the receiver produces the *same* totals at every worker
+//!   count on the same input — they ride inside `DecodeReport`
 //!   and participate in its `Eq`.
 //! - [`PipelineMetrics`] holds *nondeterministic* measurements — wall-time
 //!   histograms per stage, matching-cost and BEC-candidate distributions,
@@ -301,8 +301,8 @@ impl HistogramSnapshot {
 
 /// Deterministic per-stage event counts for one decode. Every field is
 /// tied to a per-window, per-packet or per-slot event, so the totals are
-/// identical between the serial receiver and the parallel receiver on the
-/// same input — they are carried inside `DecodeReport` and compared with
+/// identical for every worker count of the receiver on the same
+/// input — they are carried inside `DecodeReport` and compared with
 /// `Eq` by the determinism tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageCounters {
@@ -437,7 +437,7 @@ pub struct PipelineMetrics {
     pub pool_hits: Counter,
     /// Scratch-pool allocations (pool empty) during the decode.
     pub pool_misses: Counter,
-    /// Decode clusters formed by the parallel receiver.
+    /// Overlap clusters the decode split into, at any worker count.
     pub clusters: Gauge,
     /// Worker threads used.
     pub workers: Gauge,
@@ -549,9 +549,12 @@ pub struct MetricsSnapshot {
     pub pool_hits: u64,
     /// Scratch-pool allocations.
     pub pool_misses: u64,
-    /// Decode clusters formed (parallel receiver; 0 for serial).
+    /// Overlap clusters the decode split into, at any worker count (a
+    /// one-worker decode reports its cluster count too; 0 only when no
+    /// observed decode ran).
     pub clusters: f64,
-    /// Worker threads used (0 for serial).
+    /// Worker threads used (1 for an inline decode; 0 only when no
+    /// observed decode ran).
     pub workers: f64,
 }
 

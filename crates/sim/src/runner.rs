@@ -220,10 +220,11 @@ fn run_scheme_inner(
         .take(max_antennas.max(1))
         .map(|a| a.as_slice())
         .collect();
-    let (decoded, report) = match metrics {
-        Some(m) => scheme.decode_observed(&refs, workers.max(1), m),
-        None => (scheme.decode_with_workers(&refs, workers.max(1)), None),
-    };
+    let disabled = PipelineMetrics::disabled();
+    let (decoded, report) =
+        scheme.decode_observed(&refs, workers.max(1), metrics.unwrap_or(&disabled));
+    // Only observed runs carry a report.
+    let report = report.filter(|_| metrics.is_some());
     let matched = match_decoded(&decoded, &built.schedule);
     let sent = built.schedule.len();
     let correct = matched.correct.len();

@@ -1,5 +1,5 @@
-//! Determinism rules (TNB-DET01..03): the serial and parallel receivers
-//! must produce byte-identical output on the same trace, so the
+//! Determinism rules (TNB-DET01..03): the receiver must produce
+//! byte-identical output on the same trace at every worker count, so the
 //! decode-path crates must not read the wall clock, iterate
 //! hash-randomized collections, or keep `Cell`-based metrics outside
 //! the `tnb-metrics` crate (whose per-worker sinks are merged along the

@@ -30,7 +30,8 @@ fn main() {
     let trace = builder.build();
     println!("trace: {} complex samples at 1 Msps", trace.len());
 
-    // 3. Receive with TnB.
+    // 3. Receive with TnB (one worker; `with_workers(n)` decodes over n
+    //    threads with byte-identical output).
     let rx = TnbReceiver::new(params);
     let decoded = rx.decode(trace.samples());
     assert_eq!(decoded.len(), 1, "expected one decoded packet");

@@ -12,7 +12,10 @@
 //!   and the multi-packet trace synthesizer.
 //! - [`core`]: the paper's contribution — packet detection and
 //!   synchronization, **Thrive** peak assignment and **BEC** block error
-//!   correction, composed into the TnB receiver.
+//!   correction, composed into the TnB receiver ([`core::TnbReceiver`]:
+//!   `decode` for one antenna, `decode_observed` for several antennas
+//!   with a report and metrics, `with_workers` for multi-threaded
+//!   decoding with identical output).
 //! - [`baselines`]: the compared schemes (standard LoRa decoder, CIC,
 //!   AlignTrack*) behind a common trait.
 //! - [`sim`]: deployments, traffic generation and metrics used by the
