@@ -8,27 +8,35 @@
 //! gate against `results/channelizer_baseline.json`.
 
 use tnb_bench::{ExpArgs, TablePrinter};
+use tnb_core::metrics::json;
 use tnb_phy::{CodingRate, LoRaParams, SpreadingFactor};
-use tnb_sim::wideband::{bench_wideband, WidebandLoopbackConfig};
+use tnb_sim::gateway::{run, HarnessConfig, Scene};
 
 fn main() {
     let args = ExpArgs::parse();
-    let params = LoRaParams::new(SpreadingFactor::SF8, CodingRate::CR4);
-    let mut cfg = WidebandLoopbackConfig::new(params);
-    cfg.seed = args.seed.wrapping_add(39);
-    if !args.quick {
-        // Spread packets across more of the band (channel edges stay
-        // covered by the dsp chunk-invariance and wideband unit tests).
-        cfg.occupied = vec![1, 2, 4, 5, 6];
-    }
-    let bench = match bench_wideband(&cfg) {
+    // Full mode spreads packets across more of the band (channel edges
+    // stay covered by the dsp chunk-invariance and wideband unit tests).
+    let occupied = if args.quick {
+        vec![1, 4, 6]
+    } else {
+        vec![1, 2, 4, 5, 6]
+    };
+    let cfg = HarnessConfig {
+        scene: Scene::Wideband {
+            occupied: occupied.clone(),
+        },
+        chunk: 40_000,
+        seed: args.seed.wrapping_add(39),
+        ..HarnessConfig::new(LoRaParams::new(SpreadingFactor::SF8, CodingRate::CR4))
+    };
+    let bench = match run(&cfg) {
         Ok(b) => b,
         Err(e) => {
             eprintln!("wideband loopback failed: {e}");
             std::process::exit(1);
         }
     };
-    if !bench.byte_identical {
+    if !bench.byte_identical() {
         eprintln!("wideband loopback diverged from the in-process reference decode");
         std::process::exit(1);
     }
@@ -36,7 +44,7 @@ fn main() {
     println!(
         "Wideband channelizer loopback: {} channels, {} occupied, seed {}\n",
         bench.per_channel.len(),
-        cfg.occupied.len(),
+        occupied.len(),
         cfg.seed
     );
     let mut t = TablePrinter::new(["channel", "packets"]);
@@ -44,22 +52,22 @@ fn main() {
         t.row([format!("{c}"), format!("{n}")]);
     }
     t.print();
+    let uplinked = bench.stats.packets_uplinked;
     println!(
         "\n{} packets uplinked over {:.1} Msamples: {:.1} packets/s, {:.2} Msamples/s, byte-identical",
-        bench.uplinked,
+        uplinked,
         bench.samples as f64 / 1e6,
-        bench.packets_per_sec,
-        bench.samples_per_sec / 1e6,
+        bench.per_sec(uplinked),
+        bench.per_sec(bench.samples) / 1e6,
     );
 
     if let Some(path) = &args.json_out {
-        let body = format!(
-            "{{\"benchmark\":\"channelizer_throughput\",\"seed\":{},\
-             \"occupied\":{},\"wideband\":{}}}",
-            cfg.seed,
-            cfg.occupied.len(),
-            bench.to_json(),
-        );
+        let body = json::object()
+            .str("benchmark", "channelizer_throughput")
+            .val("seed", cfg.seed)
+            .val("occupied", occupied.len())
+            .raw("wideband", &bench.to_json(&cfg))
+            .finish();
         match std::fs::write(path, body) {
             Ok(()) => println!("wrote {path}"),
             Err(e) => eprintln!("failed to write {path}: {e}"),

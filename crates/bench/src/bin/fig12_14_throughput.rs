@@ -7,6 +7,7 @@
 
 use tnb_baselines::SchemeKind;
 use tnb_bench::{ExpArgs, TablePrinter};
+use tnb_core::metrics::json;
 use tnb_phy::{CodingRate, LoRaParams, SpreadingFactor};
 use tnb_sim::{build_experiment, run_scheme, run_scheme_observed, Deployment, ExperimentConfig};
 
@@ -93,26 +94,22 @@ fn main() {
                     }
                     if args.json_out.is_some() {
                         for kind in schemes {
-                            let mut obj = format!(
-                                "{{\"deployment\":\"{}\",\"sf\":{},\"cr\":{},\"load\":{load},\
-                                 \"scheme\":\"{}\",\"throughput_pps\":{:.4}",
-                                dep.name(),
-                                sf.value(),
-                                cr.value(),
-                                kind.name(),
-                                tp[kind.name()],
-                            );
+                            let mut obj = json::object()
+                                .str("deployment", dep.name())
+                                .val("sf", sf.value())
+                                .val("cr", cr.value())
+                                .val("load", load)
+                                .str("scheme", kind.name())
+                                .fixed("throughput_pps", tp[kind.name()], 4);
                             if kind == SchemeKind::Tnb {
                                 if let Some(snap) = &tnb_metrics {
-                                    obj.push_str(",\"metrics\":");
-                                    obj.push_str(&snap.to_json());
+                                    obj = obj.raw("metrics", &snap.to_json());
                                 }
                             }
                             if kind == SchemeKind::TnbSic {
-                                obj.push_str(&format!(",\"second_pass_rescues\":{sic_rescues}"));
+                                obj = obj.val("second_pass_rescues", sic_rescues);
                             }
-                            obj.push('}');
-                            json_rows.push(obj);
+                            json_rows.push(obj.finish());
                         }
                     }
                     if (load - top_load).abs() < 1e-9 {
@@ -127,13 +124,12 @@ fn main() {
     }
 
     if let Some(path) = &args.json_out {
-        let body = format!(
-            "{{\"benchmark\":\"fig12_14_throughput\",\"duration_s\":{},\"runs\":{},\
-             \"rows\":[{}]}}",
-            args.duration_s,
-            args.runs,
-            json_rows.join(","),
-        );
+        let body = json::object()
+            .str("benchmark", "fig12_14_throughput")
+            .val("duration_s", args.duration_s)
+            .val("runs", args.runs)
+            .raw("rows", &json::array(&json_rows))
+            .finish();
         match std::fs::write(path, body) {
             Ok(()) => println!("\nwrote {path} ({} rows)", json_rows.len()),
             Err(e) => eprintln!("\nfailed to write {path}: {e}"),

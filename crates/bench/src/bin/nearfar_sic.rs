@@ -7,6 +7,7 @@
 
 use tnb_bench::{ExpArgs, TablePrinter};
 use tnb_channel::trace::{PacketConfig, TraceBuilder};
+use tnb_core::metrics::json;
 use tnb_core::{PipelineMetrics, SicConfig, TnbConfig, TnbReceiver};
 use tnb_phy::{CodingRate, LoRaParams, SpreadingFactor};
 
@@ -85,23 +86,25 @@ fn main() {
             format!("{:.2}", prr(weak_sic)),
             format!("{rescues}"),
         ]);
-        json_rows.push(format!(
-            "{{\"delta_db\":{delta},\"seeds\":{seeds},\
-             \"weak_prr_tnb\":{:.4},\"weak_prr_tnb_sic\":{:.4},\
-             \"second_pass_rescues\":{rescues}}}",
-            prr(weak_plain),
-            prr(weak_sic),
-        ));
+        json_rows.push(
+            json::object()
+                .val("delta_db", f64::from(delta))
+                .val("seeds", seeds)
+                .fixed("weak_prr_tnb", prr(weak_plain), 4)
+                .fixed("weak_prr_tnb_sic", prr(weak_sic), 4)
+                .val("second_pass_rescues", rescues)
+                .finish(),
+        );
     }
     t.print();
     println!("\nTnB+SIC must strictly improve the weak-packet PRR wherever the strong collider masks the weak preamble");
 
     if let Some(path) = &args.json_out {
-        let body = format!(
-            "{{\"benchmark\":\"nearfar_sic\",\"weak_snr_db\":{WEAK_SNR_DB},\
-             \"rows\":[{}]}}",
-            json_rows.join(","),
-        );
+        let body = json::object()
+            .str("benchmark", "nearfar_sic")
+            .val("weak_snr_db", f64::from(WEAK_SNR_DB))
+            .raw("rows", &json::array(&json_rows))
+            .finish();
         match std::fs::write(path, body) {
             Ok(()) => println!("wrote {path} ({} rows)", json_rows.len()),
             Err(e) => eprintln!("failed to write {path}: {e}"),

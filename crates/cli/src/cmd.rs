@@ -4,12 +4,15 @@ use tnb_baselines::SchemeKind;
 use tnb_channel::io::{load_trace, save_trace};
 use tnb_channel::trace::{PacketConfig, TraceBuilder};
 use tnb_channel::FaultPlan;
+use tnb_core::metrics::json;
 use tnb_core::streaming::{StreamingConfig, StreamingReceiver};
 use tnb_core::{
     DecodeReport, DecodedPacket, DegradeReason, MetricsSnapshot, PipelineMetrics, Stage, TnbConfig,
     TnbReceiver,
 };
+use tnb_gateway::NetFaultPlan;
 use tnb_phy::{CodingRate, LoRaParams, SpreadingFactor};
+use tnb_sim::gateway::{HarnessConfig, Scene, FAULT_CHUNK};
 use tnb_sim::traffic::parse_payload;
 use tnb_sim::{build_experiment, Deployment, ExperimentConfig};
 
@@ -307,35 +310,30 @@ fn demo_collision(params: LoRaParams, seed: u64) -> Vec<tnb_dsp::Complex32> {
 /// outcome, per-stage deterministic counters, then the wall-time and
 /// distribution snapshot.
 fn report_json(workers: usize, report: &DecodeReport, snapshot: &MetricsSnapshot) -> String {
-    let mut stages = String::new();
-    for (i, &stage) in Stage::ALL.iter().enumerate() {
-        if i > 0 {
-            stages.push(',');
-        }
-        stages.push_str(&format!("\"{}\":{{", stage.name()));
-        for (j, (name, value)) in report.stages.stage_fields(stage).iter().enumerate() {
-            if j > 0 {
-                stages.push(',');
-            }
-            stages.push_str(&format!("\"{name}\":{value}"));
-        }
-        stages.push('}');
-    }
-    format!(
-        "{{\"scheme\":\"tnb\",\"workers\":{workers},\
-         \"detected\":{},\"decoded\":{},\"header_failures\":{},\
-         \"payload_failures\":{},\"truncated\":{},\
-         \"second_pass_rescues\":{},\"outcomes\":{},\
-         \"stage_counters\":{{{stages}}},\"metrics\":{}}}",
-        report.detected,
-        report.decoded,
-        report.header_failures,
-        report.payload_failures,
-        report.truncated,
-        report.second_pass_rescues,
-        report.outcomes_json(),
-        snapshot.to_json(),
-    )
+    let stages = Stage::ALL
+        .iter()
+        .fold(json::object(), |o, &stage| {
+            let counters = report
+                .stages
+                .stage_fields(stage)
+                .iter()
+                .fold(json::object(), |c, &(name, value)| c.val(name, value));
+            o.raw(stage.name(), &counters.finish())
+        })
+        .finish();
+    json::object()
+        .str("scheme", "tnb")
+        .val("workers", workers)
+        .val("detected", report.detected)
+        .val("decoded", report.decoded)
+        .val("header_failures", report.header_failures)
+        .val("payload_failures", report.payload_failures)
+        .val("truncated", report.truncated)
+        .val("second_pass_rescues", report.second_pass_rescues)
+        .raw("outcomes", &report.outcomes_json())
+        .raw("stage_counters", &stages)
+        .raw("metrics", &snapshot.to_json())
+        .finish()
 }
 
 /// Decodes one trace with the TnB receiver at `workers` threads, with
@@ -473,39 +471,31 @@ fn decode_flavour(
 
 /// Renders the fault matrix as a JSON array of row objects.
 fn faults_json(rows: &[FaultRow]) -> String {
-    let mut out = String::from("[");
-    for (i, row) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let mut reasons = String::new();
-        for (j, r) in REASONS.iter().enumerate() {
-            if j > 0 {
-                reasons.push(',');
-            }
-            reasons.push_str(&format!(
-                "\"{}\":{}",
-                r.name(),
-                row.report.degraded_with(*r)
-            ));
-        }
-        out.push_str(&format!(
-            "{{\"receiver\":\"{}\",\"fault\":\"{}\",\"samples\":{},\
-             \"detected\":{},\"decoded\":{},\"degraded\":{},\
-             \"reasons\":{{{reasons}}},\
-             \"thrive_budget_exhausted\":{},\"bec_budget_exhausted\":{}}}",
-            row.receiver,
-            row.fault,
-            row.samples,
-            row.report.detected,
-            row.decoded,
-            row.report.degraded(),
-            row.report.stages.thrive_budget_exhausted,
-            row.report.stages.bec_budget_exhausted,
-        ));
-    }
-    out.push(']');
-    out
+    json::array(rows.iter().map(|row| {
+        let reasons = REASONS
+            .iter()
+            .fold(json::object(), |o, &r| {
+                o.val(r.name(), row.report.degraded_with(r))
+            })
+            .finish();
+        json::object()
+            .str("receiver", row.receiver)
+            .str("fault", row.fault)
+            .val("samples", row.samples)
+            .val("detected", row.report.detected)
+            .val("decoded", row.decoded)
+            .val("degraded", row.report.degraded())
+            .raw("reasons", &reasons)
+            .val(
+                "thrive_budget_exhausted",
+                row.report.stages.thrive_budget_exhausted,
+            )
+            .val(
+                "bec_budget_exhausted",
+                row.report.stages.bec_budget_exhausted,
+            )
+            .finish()
+    }))
 }
 
 /// `tnb-cli faults`: run the seeded fault-injection matrix against the
@@ -880,98 +870,105 @@ fn gateway_send_chaos(
 }
 
 /// `tnb-cli gateway bench`: loopback throughput (daemon + client in one
-/// process) for the benchmark artifact.
+/// process) for the benchmark artifact, or with `--chaos-seed` the
+/// network-chaos soak: every [`tnb_gateway::NetFaultPlan::matrix`]
+/// injector against a live daemon through the chaos proxy, erroring
+/// unless every recoverable run's transcript is byte-identical to the
+/// clean reference.
 fn gateway_bench(args: &[String]) -> Result<(), String> {
     let flags = Flags(args);
     let sf = SpreadingFactor::from_value(flags.parse_or("--sf", 8usize)?)
         .ok_or("--sf must be 7..=12")?;
     let cr = CodingRate::from_value(flags.parse_or("--cr", 4usize)?).ok_or("--cr must be 1..=4")?;
-    let params = LoRaParams::new(sf, cr);
-    if let Some(chaos) = flags.get("--chaos-seed") {
-        let chaos_seed: u64 = chaos
-            .parse()
-            .map_err(|_| format!("bad value for --chaos-seed: {chaos}"))?;
-        return gateway_bench_chaos(&flags, params, chaos_seed);
-    }
-    let workers_list: Vec<usize> = match flags.get("--workers") {
-        None => vec![1, 4],
-        Some(w) => w
-            .split(',')
-            .map(|x| x.trim().parse().map_err(|_| format!("bad --workers: {w}")))
-            .collect::<Result<_, _>>()?,
-    };
-    let mut rows = Vec::new();
-    for &workers in &workers_list {
-        let cfg = tnb_sim::gateway::LoopbackConfig {
-            workers: workers.max(1),
-            streams: flags.parse_or("--streams", 2u32)?,
-            packets: flags.parse_or("--packets", 3usize)?,
-            seed: flags.parse_or("--seed", 7u64)?,
-            ..tnb_sim::gateway::LoopbackConfig::new(params)
-        };
-        let bench = tnb_sim::gateway::bench_loopback(&cfg).map_err(|e| e.to_string())?;
-        if !bench.byte_identical {
-            return Err(format!(
-                "loopback at {workers} workers diverged from the direct decode"
-            ));
-        }
-        rows.push((workers, bench));
-    }
-    if flags.has("--json") {
-        let body: Vec<String> = rows.iter().map(|(w, b)| b.to_json(*w)).collect();
-        println!("{{\"gateway_loopback\":[{}]}}", body.join(","));
-    } else {
-        for (w, b) in &rows {
-            println!(
-                "workers {w}: {:.1} packets/s, {:.2} Msamples/s ({} uplinked, byte-identical)",
-                b.packets_per_sec,
-                b.samples_per_sec / 1e6,
-                b.uplinked,
-            );
-        }
-    }
-    Ok(())
-}
-
-/// The `--chaos-seed` leg of `gateway bench`: the network-chaos soak.
-/// Runs every [`tnb_gateway::NetFaultPlan::matrix`] injector against a live daemon
-/// through the chaos proxy and errors unless every recoverable run's
-/// transcript is byte-identical to the clean reference.
-fn gateway_bench_chaos(flags: &Flags, params: LoRaParams, chaos_seed: u64) -> Result<(), String> {
-    let cfg = tnb_sim::chaos::ChaosConfig {
-        streams: flags.parse_or("--streams", 1u32)?,
-        packets: flags.parse_or("--packets", 2usize)?,
+    let chaos_seed: Option<u64> = flags
+        .get("--chaos-seed")
+        .map(|c| {
+            c.parse()
+                .map_err(|_| format!("bad value for --chaos-seed: {c}"))
+        })
+        .transpose()?;
+    let (streams, packets) = if chaos_seed.is_some() { (1, 2) } else { (2, 3) };
+    let base = HarnessConfig {
+        scene: Scene::Collided {
+            streams: flags.parse_or("--streams", streams)?,
+            packets: flags.parse_or("--packets", packets)?,
+        },
         seed: flags.parse_or("--seed", 7u64)?,
-        chaos_seed,
-        ..tnb_sim::chaos::ChaosConfig::new(params)
+        ..HarnessConfig::new(LoRaParams::new(sf, cr))
     };
-    let rows = tnb_sim::chaos::run_chaos_matrix(&cfg).map_err(|e| e.to_string())?;
-    for row in &rows {
-        if row.stats.worker_panics > 0 {
-            return Err(format!("chaos '{}': daemon worker panicked", row.scenario));
+    let configs: Vec<HarnessConfig> = match chaos_seed {
+        Some(seed) => NetFaultPlan::matrix(seed)
+            .into_iter()
+            .map(|plan| HarnessConfig {
+                chunk: FAULT_CHUNK,
+                faults: Some(plan),
+                ..base.clone()
+            })
+            .collect(),
+        None => match flags.get("--workers") {
+            None => vec![1, 4],
+            Some(w) => w
+                .split(',')
+                .map(|x| x.trim().parse().map_err(|_| format!("bad --workers: {w}")))
+                .collect::<Result<_, _>>()?,
         }
-        if row.recoverable && !row.parity {
+        .into_iter()
+        .map(|workers: usize| HarnessConfig {
+            workers: workers.max(1),
+            ..base.clone()
+        })
+        .collect(),
+    };
+    let mut runs = Vec::new();
+    for cfg in configs {
+        let outcome = tnb_sim::gateway::run(&cfg).map_err(|e| e.to_string())?;
+        runs.push((cfg, outcome));
+    }
+    for (cfg, run) in &runs {
+        let name = match &cfg.faults {
+            Some(plan) => format!("chaos '{}'", plan.name),
+            None => format!("loopback at {} workers", cfg.workers),
+        };
+        if run.stats.worker_panics > 0 {
+            return Err(format!("{name}: daemon worker panicked"));
+        }
+        let recoverable = cfg.faults.as_ref().is_none_or(|p| p.recoverable);
+        if recoverable && !run.byte_identical() {
             return Err(format!(
-                "chaos '{}': transcript diverged from the clean run \
-                 (reconnects={}, resent={})",
-                row.scenario, row.reconnects, row.resent
+                "{name}: transcript diverged from the direct decode (reconnects={}, resent={})",
+                run.client.reconnects, run.client.retransmitted_frames
             ));
         }
     }
     if flags.has("--json") {
-        println!("{}", tnb_sim::chaos::chaos_json(&rows));
-    } else {
-        for row in &rows {
-            println!(
+        let key = if chaos_seed.is_some() {
+            "gateway_chaos"
+        } else {
+            "gateway_loopback"
+        };
+        let rows = json::array(runs.iter().map(|(cfg, run)| run.to_json(cfg)));
+        println!("{}", json::object().raw(key, &rows).finish());
+        return Ok(());
+    }
+    for (cfg, run) in &runs {
+        match &cfg.faults {
+            Some(plan) => println!(
                 "{:<18} parity={} reconnects={} resent={} faults={} parked={} resumed={}",
-                row.scenario,
-                row.parity,
-                row.reconnects,
-                row.resent,
-                row.proxy_faults,
-                row.stats.sessions_parked,
-                row.stats.sessions_resumed,
-            );
+                plan.name,
+                run.byte_identical(),
+                run.client.reconnects,
+                run.client.retransmitted_frames,
+                run.proxy_faults,
+                run.stats.sessions_parked,
+                run.stats.sessions_resumed,
+            ),
+            None => println!(
+                "workers {}: {:.1} packets/s, {:.2} Msamples/s ({} uplinked, byte-identical)",
+                cfg.workers,
+                run.per_sec(run.stats.packets_uplinked),
+                run.per_sec(run.samples) / 1e6,
+                run.stats.packets_uplinked,
+            ),
         }
     }
     Ok(())
@@ -1153,8 +1150,7 @@ mod tests {
         let path = dir.join("w.iq16");
         let path_s = path.to_str().unwrap();
         let params = LoRaParams::new(SpreadingFactor::SF8, CodingRate::CR4);
-        let cfg = tnb_sim::wideband::WidebandLoopbackConfig::new(params);
-        let (scene, _) = tnb_sim::wideband::wideband_scene(&cfg);
+        let scene = tnb_sim::gateway::wideband_scene(params, 40, &[1, 4, 6]);
         save_trace(path_s, &scene).unwrap();
         decode(&s(&["--trace", path_s, "--sf", "8", "--wideband"])).unwrap();
         // Non-TnB schemes cannot ride the channelizer pipeline.

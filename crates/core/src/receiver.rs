@@ -15,7 +15,7 @@ use crate::thrive::{
     ThriveConfig,
 };
 use tnb_dsp::{Complex32, DspScratch};
-use tnb_metrics::{PipelineMetrics, Stage, StageCounters};
+use tnb_metrics::{json, PipelineMetrics, Stage, StageCounters};
 use tnb_phy::block;
 use tnb_phy::decoder as phy_decoder;
 use tnb_phy::header::Header;
@@ -111,15 +111,18 @@ impl DecodeOutcome {
     /// --json` and the gateway uplink/stats lines, so downstream
     /// consumers parse degradation reasons the same way everywhere.
     pub fn to_json(&self) -> String {
+        let o = json::object();
         match self {
-            DecodeOutcome::Decoded { start, pass } => {
-                format!("{{\"status\":\"decoded\",\"start\":{start},\"pass\":{pass}}}")
-            }
-            DecodeOutcome::Degraded { start, reason } => format!(
-                "{{\"status\":\"degraded\",\"start\":{start},\"reason\":\"{}\"}}",
-                reason.name()
-            ),
+            DecodeOutcome::Decoded { start, pass } => o
+                .str("status", "decoded")
+                .val("start", *start)
+                .val("pass", *pass),
+            DecodeOutcome::Degraded { start, reason } => o
+                .str("status", "degraded")
+                .val("start", *start)
+                .str("reason", reason.name()),
         }
+        .finish()
     }
 }
 
@@ -222,33 +225,23 @@ impl DecodeReport {
     /// JSON array of every per-packet outcome, in detection order (see
     /// [`DecodeOutcome::to_json`] for the element schema).
     pub fn outcomes_json(&self) -> String {
-        let mut out = String::from("[");
-        for (i, o) in self.outcomes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&o.to_json());
-        }
-        out.push(']');
-        out
+        json::array(self.outcomes.iter().map(DecodeOutcome::to_json))
     }
 
     /// Compact JSON object with the aggregate counts and the per-packet
     /// outcomes (stage counters are reported separately — see
     /// `tnb-cli report --json`).
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"detected\":{},\"decoded\":{},\"degraded\":{},\"second_pass_rescues\":{},\
-             \"header_failures\":{},\"payload_failures\":{},\"truncated\":{},\"outcomes\":{}}}",
-            self.detected,
-            self.decoded,
-            self.degraded(),
-            self.second_pass_rescues,
-            self.header_failures,
-            self.payload_failures,
-            self.truncated,
-            self.outcomes_json(),
-        )
+        json::object()
+            .val("detected", self.detected)
+            .val("decoded", self.decoded)
+            .val("degraded", self.degraded())
+            .val("second_pass_rescues", self.second_pass_rescues)
+            .val("header_failures", self.header_failures)
+            .val("payload_failures", self.payload_failures)
+            .val("truncated", self.truncated)
+            .raw("outcomes", &self.outcomes_json())
+            .finish()
     }
 }
 

@@ -67,19 +67,7 @@ fn near_far_trace(
 /// Serializes everything a report carries (counts, per-packet outcomes,
 /// deterministic stage counters) so byte-equality means full equality.
 fn report_json(r: &DecodeReport) -> String {
-    format!(
-        "{{\"detected\":{},\"decoded\":{},\"second_pass_rescues\":{},\
-         \"header_failures\":{},\"payload_failures\":{},\"truncated\":{},\
-         \"outcomes\":{},\"stages\":\"{:?}\"}}",
-        r.detected,
-        r.decoded,
-        r.second_pass_rescues,
-        r.header_failures,
-        r.payload_failures,
-        r.truncated,
-        r.outcomes_json(),
-        r.stages,
-    )
+    format!("{} {:?}", r.to_json(), r.stages)
 }
 
 fn decode_streaming(

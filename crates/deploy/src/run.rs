@@ -13,12 +13,13 @@
 use crate::network::NetworkReport;
 use crate::synth::Scene;
 use crate::TrafficModel;
+use tnb_core::metrics::json;
 use tnb_core::{
     same_transmission, DecodedPacket, Pool, SicConfig, StreamingConfig, StreamingReceiver,
     TnbConfig, WidebandConfig, WidebandReceiver,
 };
 use tnb_dsp::ChannelizerConfig;
-use tnb_gateway::uplink;
+use tnb_gateway::uplink::Uplink;
 use tnb_phy::Transmitter;
 use tnb_sim::traffic::PAYLOAD_LEN;
 
@@ -135,12 +136,8 @@ pub fn run_deploy(scene: &Scene, workers: usize) -> DeployReport {
         let mut lines = Vec::with_capacity(heard.len());
         for (n, h) in heard.iter().enumerate() {
             let params = scene.params(h.sf_idx);
-            let line = if cfg.wideband {
-                uplink::uplink_line_on_channel(&params, gw as u32, n as u64, h.channel, &h.packet)
-            } else {
-                uplink::uplink_line(&params, gw as u32, n as u64, &h.packet)
-            };
-            lines.push(line);
+            let channel = cfg.wideband.then_some(h.channel);
+            lines.push(Uplink::new(&params, gw as u32, n as u64, channel, &h.packet).to_line());
         }
         uplinks.push(lines);
     }
@@ -266,65 +263,55 @@ impl DeployReport {
     /// Worker count is deliberately absent — the bytes of this string
     /// are part of the determinism contract across worker counts.
     pub fn to_json(&self) -> String {
-        let sfs: Vec<String> = self.sfs.iter().map(|s| s.to_string()).collect();
-        let per_sf: Vec<String> = self
-            .offered_per_sf
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| {
-                format!(
-                    "{{\"sf\":{},\"offered\":{},\"delivered\":{}}}",
-                    self.sfs.get(i).copied().unwrap_or(0),
-                    n,
-                    self.network
-                        .delivered_for_sf(self.sfs.get(i).copied().unwrap_or(0))
-                )
-            })
-            .collect();
-        let per_gw: Vec<String> = self
-            .uplinks
-            .iter()
-            .enumerate()
-            .map(|(g, lines)| {
-                format!(
-                    "{{\"gateway\":{},\"uplinks\":{},\"wins\":{}}}",
-                    g,
-                    lines.len(),
-                    self.network.wins_per_gateway.get(g).copied().unwrap_or(0)
-                )
-            })
-            .collect();
+        let net = &self.network;
+        let per_sf = self.offered_per_sf.iter().enumerate().map(|(i, &n)| {
+            let sf = self.sfs.get(i).copied().unwrap_or(0);
+            json::object()
+                .val("sf", sf)
+                .val("offered", n)
+                .val("delivered", net.delivered_for_sf(sf))
+                .finish()
+        });
+        let per_gw = self.uplinks.iter().enumerate().map(|(g, lines)| {
+            json::object()
+                .val("gateway", g)
+                .val("uplinks", lines.len())
+                .val("wins", net.wins_per_gateway.get(g).copied().unwrap_or(0))
+                .finish()
+        });
         let traffic = match self.traffic {
-            TrafficModel::Poisson => "\"poisson\"".to_string(),
+            TrafficModel::Poisson => json::string("poisson"),
             TrafficModel::Bursty { max_burst } => {
-                format!("{{\"bursty\":{{\"max_burst\":{max_burst}}}}}")
+                let bursty = json::object().val("max_burst", max_burst).finish();
+                json::object().raw("bursty", &bursty).finish()
             }
         };
-        format!(
-            "{{\"deploy\":{{\"nodes\":{},\"gateways\":{},\"load_pps\":{:.4},\
-             \"duration_s\":{:.4},\"seed\":{},\"traffic\":{},\"sic\":{},\
-             \"wideband\":{},\"sfs\":[{}],\"offered\":{}}},\
-             \"network\":{{\"delivered\":{},\"duplicates\":{},\"ghosts\":{},\
-             \"goodput_pps\":{:.4},\"prr\":{:.4},\
-             \"per_gateway\":[{}],\"per_sf\":[{}]}}}}",
-            self.nodes,
-            self.gateways,
-            self.load_pps,
-            self.duration_s,
-            self.seed,
-            traffic,
-            self.sic,
-            self.wideband,
-            sfs.join(","),
-            self.offered,
-            self.network.deliveries.len(),
-            self.network.duplicates,
-            self.network.ghosts,
-            self.network.goodput_pps(self.duration_s),
-            self.network.prr(self.offered),
-            per_gw.join(","),
-            per_sf.join(","),
-        )
+        let sfs = json::array(self.sfs.iter().map(u8::to_string));
+        let deploy = json::object()
+            .val("nodes", self.nodes)
+            .val("gateways", self.gateways)
+            .fixed("load_pps", self.load_pps, 4)
+            .fixed("duration_s", self.duration_s, 4)
+            .val("seed", self.seed)
+            .raw("traffic", &traffic)
+            .val("sic", self.sic)
+            .val("wideband", self.wideband)
+            .raw("sfs", &sfs)
+            .val("offered", self.offered)
+            .finish();
+        let network = json::object()
+            .val("delivered", net.deliveries.len())
+            .val("duplicates", net.duplicates)
+            .val("ghosts", net.ghosts)
+            .fixed("goodput_pps", net.goodput_pps(self.duration_s), 4)
+            .fixed("prr", net.prr(self.offered), 4)
+            .raw("per_gateway", &json::array(per_gw))
+            .raw("per_sf", &json::array(per_sf))
+            .finish();
+        json::object()
+            .raw("deploy", &deploy)
+            .raw("network", &network)
+            .finish()
     }
 
     /// One-screen human summary.

@@ -24,7 +24,9 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use crate::wire::{encode_frame, quantize, Frame, MAX_FRAME_SAMPLES};
+use crate::uplink::{Line, LineKind};
+use crate::wire::{encode_frame, Frame, MAX_FRAME_SAMPLES};
+use tnb_core::metrics::json::Value;
 use tnb_dsp::Complex32;
 
 /// Default DATA-frame chunk length in samples (64 ms at 1 Msps — large
@@ -63,7 +65,8 @@ fn connect_with_backoff<A: ToSocketAddrs + Clone>(
 /// a background thread accumulates every uplink line the daemon sends.
 pub struct GatewayClient {
     sock: TcpStream,
-    reader: Option<JoinHandle<Vec<String>>>,
+    reader: Option<JoinHandle<()>>,
+    link: Arc<Link>,
     next_seq: BTreeMap<u32, u32>,
 }
 
@@ -75,28 +78,21 @@ impl GatewayClient {
     pub fn connect<A: ToSocketAddrs + Clone>(addr: A, timeout: Duration) -> io::Result<Self> {
         let sock = connect_with_backoff(addr, timeout)?;
         sock.set_nodelay(true).ok();
-        let read_half = sock.try_clone()?;
-        let reader = thread::spawn(move || {
-            let mut lines = Vec::new();
-            for line in BufReader::new(read_half).lines() {
-                match line {
-                    Ok(l) => lines.push(l),
-                    Err(_) => break,
-                }
-            }
-            lines
-        });
+        let link = Arc::new(Link::default());
+        let reader = spawn_link_reader(sock.try_clone()?, Arc::clone(&link));
         Ok(GatewayClient {
             sock,
             reader: Some(reader),
+            link,
             next_seq: BTreeMap::new(),
         })
     }
 
     /// Streams `samples` as DATA frames of `chunk_len` samples on
     /// `stream_id`, quantizing through the shared wire quantizer (so a
-    /// local reference decode over [`quantize`]d samples sees exactly
-    /// the bytes the daemon sees). Returns the number of frames sent.
+    /// local reference decode over [`crate::wire::quantize`]d samples
+    /// sees exactly the bytes the daemon sees). Returns the number of
+    /// frames sent.
     pub fn send_samples(
         &mut self,
         stream_id: u32,
@@ -174,10 +170,7 @@ impl GatewayClient {
     /// collects a complete transcript).
     pub fn finish(mut self) -> Vec<String> {
         let _ = self.sock.shutdown(Shutdown::Write);
-        match self.reader.take() {
-            Some(h) => h.join().unwrap_or_default(),
-            None => Vec::new(),
-        }
+        self.link.take_lines(self.reader.take())
     }
 
     fn bump_seq(&mut self, stream_id: u32) -> u32 {
@@ -195,13 +188,6 @@ impl Drop for GatewayClient {
             let _ = h.join();
         }
     }
-}
-
-/// Quantizes `samples` exactly as the wire does end-to-end — the
-/// reference for byte-identity checks against a direct
-/// [`tnb_core::StreamingReceiver`] decode.
-pub fn wire_reference(samples: &[Complex32]) -> Vec<Complex32> {
-    quantize(samples)
 }
 
 // ---------------------------------------------------------------------
@@ -278,10 +264,10 @@ struct LinkState {
     resume_cursors: Option<BTreeMap<u32, u32>>,
     /// Latest acked seq per stream (daemon `ack` lines).
     acks: BTreeMap<u32, u32>,
-    /// Session lines received (uplink / end / ack / stats / error) —
-    /// the delivery cursor a RESUME reports so the daemon replays
-    /// exactly the lines lost with a dead connection. The counted set
-    /// must match what the daemon's session log records.
+    /// Session lines received ([`LineKind::session_scoped`], the rule
+    /// the daemon's session log records by) — the delivery cursor a
+    /// RESUME reports so the daemon replays exactly the lines lost with
+    /// a dead connection.
     session_lines: u64,
     /// Nonce of the most recent `pong` line.
     last_pong: Option<u32>,
@@ -290,6 +276,9 @@ struct LinkState {
     goaways: u64,
 }
 
+/// The daemon's side of a connection as the client's reader thread
+/// sees it (shared by both clients).
+#[derive(Default)]
 struct Link {
     state: Mutex<LinkState>,
     cv: Condvar,
@@ -299,36 +288,29 @@ impl Link {
     fn lock_state(&self) -> MutexGuard<'_, LinkState> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
-}
 
-/// Extracts the unsigned integer following `"key":` in a JSON line
-/// (the daemon's control lines are flat enough that this never needs a
-/// real parser).
-fn json_u64(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let at = line.find(&pat)? + pat.len();
-    let digits: &str = line[at..]
-        .split(|c: char| !c.is_ascii_digit())
-        .next()
-        .unwrap_or("");
-    digits.parse().ok()
-}
-
-/// Parses the `streams` array of a `resumed` line into
-/// stream → next_seq cursors.
-fn parse_resumed_streams(line: &str) -> BTreeMap<u32, u32> {
-    let mut out = BTreeMap::new();
-    for part in line.split("{\"stream\":").skip(1) {
-        let id = part
-            .split(|c: char| !c.is_ascii_digit())
-            .next()
-            .and_then(|d| d.parse::<u32>().ok());
-        let next = json_u64(part, "next_seq").map(|v| v as u32);
-        if let (Some(id), Some(next)) = (id, next) {
-            out.insert(id, next);
+    /// Joins the reader (its socket's read half must be at EOF) and
+    /// returns the transcript.
+    fn take_lines(&self, reader: Option<JoinHandle<()>>) -> Vec<String> {
+        if let Some(h) = reader {
+            let _ = h.join();
         }
+        std::mem::take(&mut self.lock_state().lines)
     }
-    out
+}
+
+/// The stream → `next_seq` cursors of a `resumed` line (empty when the
+/// array is missing or malformed: every buffered frame is then resent).
+fn resume_cursors(line: &Line) -> BTreeMap<u32, u32> {
+    let streams = line.value.get("streams").and_then(Value::as_array);
+    streams
+        .unwrap_or_default()
+        .iter()
+        .filter_map(|s| {
+            let num = |key| u32::try_from(s.get(key)?.as_u64()?).ok();
+            Some((num("stream")?, num("next_seq")?))
+        })
+        .collect()
 }
 
 fn spawn_link_reader(read_half: TcpStream, link: Arc<Link>) -> JoinHandle<()> {
@@ -336,26 +318,22 @@ fn spawn_link_reader(read_half: TcpStream, link: Arc<Link>) -> JoinHandle<()> {
         for line in BufReader::new(read_half).lines() {
             let Ok(l) = line else { break };
             let mut st = link.lock_state();
-            if l.starts_with("{\"type\":\"hello\"") {
-                st.session = json_u64(&l, "session").map(|v| v as u32);
-            } else if l.starts_with("{\"type\":\"resumed\"") {
-                st.resume_cursors = Some(parse_resumed_streams(&l));
-            } else if l.starts_with("{\"type\":\"ack\"") {
-                if let (Some(s), Some(q)) = (json_u64(&l, "stream"), json_u64(&l, "seq")) {
-                    st.acks.insert(s as u32, q as u32);
+            if let Some(line) = Line::parse(&l) {
+                match line.kind {
+                    LineKind::Hello => st.session = line.u32("session"),
+                    LineKind::Resumed => st.resume_cursors = Some(resume_cursors(&line)),
+                    LineKind::Ack => {
+                        if let (Some(s), Some(q)) = (line.stream, line.u32("seq")) {
+                            st.acks.insert(s, q);
+                        }
+                    }
+                    LineKind::Pong => st.last_pong = line.u32("nonce"),
+                    LineKind::Goaway => st.goaways += 1,
+                    _ => {}
                 }
-            } else if l.starts_with("{\"type\":\"pong\"") {
-                st.last_pong = json_u64(&l, "nonce").map(|v| v as u32);
-            } else if l.starts_with("{\"type\":\"goaway\"") {
-                st.goaways += 1;
-            }
-            if l.starts_with("{\"type\":\"uplink\"")
-                || l.starts_with("{\"type\":\"end\"")
-                || l.starts_with("{\"type\":\"ack\"")
-                || l.starts_with("{\"type\":\"stats\"")
-                || l.starts_with("{\"type\":\"error\"")
-            {
-                st.session_lines += 1;
+                if line.kind.session_scoped() {
+                    st.session_lines += 1;
+                }
             }
             st.lines.push(l);
             drop(st);
@@ -395,10 +373,7 @@ impl ResilientClient {
         let sock = connect_with_backoff(addr, cfg.connect_timeout)?;
         sock.set_nodelay(true).ok();
         let read_half = sock.try_clone()?;
-        let link = Arc::new(Link {
-            state: Mutex::new(LinkState::default()),
-            cv: Condvar::new(),
-        });
+        let link = Arc::new(Link::default());
         let reader = spawn_link_reader(read_half, Arc::clone(&link));
         let mut client = ResilientClient {
             addr,
@@ -500,14 +475,14 @@ impl ResilientClient {
     pub fn drain(&mut self) -> io::Result<()> {
         let mut attempts_left = self.cfg.max_reconnects.max(1);
         loop {
-            self.prune_acked();
+            // Wait for progress past the very cursors the prune used: an
+            // ack landing between a prune and a second read of the
+            // cursors would go unnoticed and stall the drain for a full
+            // reply timeout, then force a needless reconnect.
+            let before = self.prune_acked();
             if self.buffer.is_empty() {
                 return Ok(());
             }
-            let before = {
-                let st = self.link.lock_state();
-                st.acks.clone()
-            };
             if self.wait_until(self.cfg.reply_timeout, |st| st.acks != before) {
                 continue;
             }
@@ -530,11 +505,7 @@ impl ResilientClient {
         let _ = self.drain();
         let _ = self.sock.write_all(&encode_frame(&Frame::goaway()));
         let _ = self.sock.shutdown(Shutdown::Write);
-        if let Some(h) = self.reader.take() {
-            let _ = h.join();
-        }
-        let mut st = self.link.lock_state();
-        std::mem::take(&mut st.lines)
+        self.link.take_lines(self.reader.take())
     }
 
     fn bump_seq(&mut self, stream_id: u32) -> u32 {
@@ -570,17 +541,15 @@ impl ResilientClient {
     }
 
     /// Drops buffered frames the daemon has acked (per-stream cursor,
-    /// u32-wraparound aware).
-    fn prune_acked(&mut self) {
-        let acks = {
-            let st = self.link.lock_state();
-            st.acks.clone()
-        };
+    /// u32-wraparound aware); returns the ack cursors it pruned by.
+    fn prune_acked(&mut self) -> BTreeMap<u32, u32> {
+        let acks = self.link.lock_state().acks.clone();
         self.buffer.retain(|f| match acks.get(&f.stream_id) {
             // Keep the frame only while it is ahead of the acked seq.
             Some(&acked) => f.seq.wrapping_sub(acked) < 1 << 31 && f.seq != acked,
             None => true,
         });
+        acks
     }
 
     /// Seeded-jitter exponential backoff: `base * 2^attempt` capped at
@@ -718,30 +687,6 @@ impl Drop for ResilientClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_u64_extracts_flat_numbers() {
-        let line = r#"{"type":"ack","stream":7,"seq":4123}"#;
-        assert_eq!(json_u64(line, "stream"), Some(7));
-        assert_eq!(json_u64(line, "seq"), Some(4123));
-        assert_eq!(json_u64(line, "nonce"), None);
-    }
-
-    #[test]
-    fn resumed_line_parses_every_stream_cursor() {
-        let line = concat!(
-            "{\"type\":\"resumed\",\"session\":3,\"streams\":[",
-            "{\"stream\":0,\"next_seq\":12,\"uplinked\":2},",
-            "{\"stream\":9,\"next_seq\":0,\"uplinked\":0}]}"
-        );
-        let cursors = parse_resumed_streams(line);
-        assert_eq!(cursors.len(), 2);
-        assert_eq!(cursors.get(&0), Some(&12));
-        assert_eq!(cursors.get(&9), Some(&0));
-        assert!(
-            parse_resumed_streams("{\"type\":\"resumed\",\"session\":1,\"streams\":[]}").is_empty()
-        );
-    }
 
     #[test]
     fn backoff_schedule_is_deterministic_per_seed() {

@@ -11,9 +11,12 @@
 //!   thread per connection, per-stream [`tnb_core::StreamingReceiver`]s,
 //!   bounded drop-oldest ingest queues, and `catch_unwind` fault
 //!   containment.
-//! - [`uplink`] — the JSON-lines uplink format for decoded packets
-//!   (Semtech `PUSH_DATA`-style `rxpk` objects, timestamps from the
-//!   sample clock — never the wall clock).
+//! - [`uplink`] — the daemon's JSON-lines output format in both
+//!   directions: the writer of every line kind (Semtech
+//!   `PUSH_DATA`-style `rxpk` objects for decoded packets, timestamps
+//!   from the sample clock — never the wall clock), the reader
+//!   ([`uplink::Line`], [`uplink::Uplink`]), and the session/link split
+//!   the resume protocol relies on.
 //! - [`client`] — the loopback client used by `tnb-sim`'s load
 //!   generator, the CLI, and the integration tests, plus the
 //!   resilient variant ([`client::ResilientClient`]) with

@@ -60,7 +60,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use crate::stats::{GatewayStats, GatewayStatsSnapshot};
-use crate::uplink;
+use crate::uplink::{self, Line, Uplink};
 use crate::wire::{FrameKind, FrameReader, ReadStep};
 use tnb_core::{
     DecodeReport, MetricsSnapshot, StreamingConfig, StreamingReceiver, WidebandConfig,
@@ -293,10 +293,10 @@ impl Ingest {
 /// client more than this many lines behind gets a gapped replay.
 const SESSION_LOG_CAP: usize = 8192;
 
-/// The per-session delivery log: every *session line* (uplink / end /
-/// ack / stats / error — the lines whose delivery matters for the
-/// transcript) written on a resumable connection, indexed from the
-/// session's start. TCP write success only means "reached the kernel
+/// The per-session delivery log: every *session line*
+/// ([`uplink::LineKind::session_scoped`] — the lines whose delivery
+/// matters for the transcript) written on a resumable connection,
+/// indexed from the session's start. TCP write success only means "reached the kernel
 /// buffer": the lines in flight when a connection dies are lost, and
 /// the parked receiver cannot re-decode them. A RESUME carries the
 /// client's received-line count, and the daemon replays `lines[count -
@@ -798,12 +798,12 @@ impl Session {
     }
 }
 
-/// The uplink writer plus its health and the session delivery log.
-/// Once a write fails (slow consumer hitting the write deadline, or a
-/// vanished peer) the connection is torn down and — for HELLO'd
-/// sessions — parked for resume; the log makes the undelivered lines
-/// replayable.
-struct Uplink {
+/// The connection's line writer plus its health and the session
+/// delivery log. Once a write fails (slow consumer hitting the write
+/// deadline, or a vanished peer) the connection is torn down and — for
+/// HELLO'd sessions — parked for resume; the log makes the undelivered
+/// lines replayable.
+struct LineOut {
     out: BufWriter<TcpStream>,
     broken: bool,
     /// True once the connection holds a session token: session lines
@@ -812,21 +812,15 @@ struct Uplink {
     log: SessionLog,
 }
 
-impl Uplink {
-    /// Writes a *session line* (uplink / end / ack / stats / error):
-    /// logged for resume replay on resumable connections. The set of
-    /// logged types must match what [`crate::client::ResilientClient`]
-    /// counts as delivered.
-    fn session(&mut self, line: &str, stats: &GatewayStats) {
-        if self.logging {
+impl LineOut {
+    /// Writes one line. On a resumable connection a session line
+    /// ([`uplink::LineKind::session_scoped`], the same rule the resilient
+    /// client counts delivered lines by) is logged for RESUME replay
+    /// first; link lines are connection-scoped and never logged.
+    fn send(&mut self, line: &str, stats: &GatewayStats) {
+        if self.logging && Line::parse(line).is_some_and(|l| l.kind.session_scoped()) {
             self.log.append(line);
         }
-        self.write(line, stats);
-    }
-
-    /// Writes a *link line* (hello / resumed / pong / busy / goaway):
-    /// connection-scoped, never logged or replayed.
-    fn link(&mut self, line: &str, stats: &GatewayStats) {
         self.write(line, stats);
     }
 
@@ -886,7 +880,7 @@ fn decode_loop(
     tokens: &AtomicU32,
     conn_done: &AtomicBool,
 ) {
-    let mut up = Uplink {
+    let mut up = LineOut {
         out: BufWriter::new(write_half),
         broken: false,
         logging: false,
@@ -953,19 +947,10 @@ fn decode_loop(
                 };
                 s.processed += 1;
                 for (chan, p) in &pkts {
-                    let line = match chan {
-                        Some(c) => uplink::uplink_line_on_channel(
-                            &cfg.params,
-                            stream_id,
-                            s.uplinked,
-                            *c,
-                            p,
-                        ),
-                        None => uplink::uplink_line(&cfg.params, stream_id, s.uplinked, p),
-                    };
+                    let line = Uplink::new(&cfg.params, stream_id, s.uplinked, *chan, p).to_line();
                     s.uplinked += 1;
                     stats.packets_uplinked.inc();
-                    up.session(&line, stats);
+                    up.send(&line, stats);
                 }
                 // Delivery acks let a resumable client trim its resend
                 // buffer; plain connections never see them.
@@ -973,7 +958,7 @@ fn decode_loop(
                     && cfg.ack_every > 0
                     && s.processed.is_multiple_of(cfg.ack_every)
                 {
-                    up.session(&uplink::ack_line(stream_id, seq), stats);
+                    up.send(&uplink::ack_line(stream_id, seq), stats);
                 }
             }
             Work::End { stream_id, seq } => {
@@ -999,7 +984,7 @@ fn decode_loop(
                 if state.token.is_some() {
                     // Final ack: the whole stream (END included) is
                     // delivered; the client drops its resend buffer.
-                    up.session(&uplink::ack_line(stream_id, seq), stats);
+                    up.send(&uplink::ack_line(stream_id, seq), stats);
                 }
             }
             Work::Stats => {
@@ -1010,11 +995,11 @@ fn decode_loop(
                     metrics = s.metrics_snapshot();
                 }
                 let line = uplink::stats_line(&stats.snapshot(), &report, &metrics);
-                up.session(&line, stats);
+                up.send(&line, stats);
             }
             Work::Ping { nonce } => {
                 stats.pings_answered.inc();
-                up.link(&uplink::pong_line(nonce), stats);
+                up.send(&uplink::pong_line(nonce), stats);
             }
             Work::Hello => {
                 let token = match state.token {
@@ -1026,7 +1011,7 @@ fn decode_loop(
                         t
                     }
                 };
-                up.link(
+                up.send(
                     &uplink::hello_line(token, cfg.resume_grace.as_millis() as u64),
                     stats,
                 );
@@ -1054,7 +1039,7 @@ fn decode_loop(
                             .map(|(&id, f)| (id, f.next_seq, f.uplinked)),
                     );
                     streams.sort_unstable();
-                    up.link(&uplink::resumed_line(token, &streams), stats);
+                    up.send(&uplink::resumed_line(token, &streams), stats);
                     // Replay the session lines that died in the old
                     // connection's socket buffer: everything past the
                     // client's delivered count (already in the log, so
@@ -1068,7 +1053,7 @@ fn decode_loop(
                 None => {
                     // Unknown or expired token: tell the client its
                     // session is gone; it can HELLO a fresh one.
-                    up.link(&uplink::goaway_line("unknown-session"), stats);
+                    up.send(&uplink::goaway_line("unknown-session"), stats);
                 }
             },
             Work::Terminal {
@@ -1077,10 +1062,10 @@ fn decode_loop(
                 goaway,
             } => {
                 if let Some((name, detail)) = error {
-                    up.session(&uplink::error_line(name, &detail), stats);
+                    up.send(&uplink::error_line(name, &detail), stats);
                 }
                 if let Some(reason) = goaway {
-                    up.link(&uplink::goaway_line(reason), stats);
+                    up.send(&uplink::goaway_line(reason), stats);
                 }
                 teardown(state, park, &cfg, stats, table, &mut up);
                 return;
@@ -1116,7 +1101,7 @@ fn teardown(
     cfg: &GatewayConfig,
     stats: &GatewayStats,
     table: &SessionTable,
-    up: &mut Uplink,
+    up: &mut LineOut,
 ) {
     if park {
         if let Some(token) = state.token {
@@ -1160,7 +1145,7 @@ fn finish_session(
     s: &mut Session,
     cfg: &GatewayConfig,
     stats: &GatewayStats,
-    up: &mut Uplink,
+    up: &mut LineOut,
     closed_report: &mut DecodeReport,
     last_metrics: &mut MetricsSnapshot,
 ) {
@@ -1172,17 +1157,14 @@ fn finish_session(
         }
     };
     for (chan, p) in &pkts {
-        let line = match chan {
-            Some(c) => uplink::uplink_line_on_channel(&cfg.params, stream_id, s.uplinked, *c, p),
-            None => uplink::uplink_line(&cfg.params, stream_id, s.uplinked, p),
-        };
+        let line = Uplink::new(&cfg.params, stream_id, s.uplinked, *chan, p).to_line();
         s.uplinked += 1;
         stats.packets_uplinked.inc();
-        up.session(&line, stats);
+        up.send(&line, stats);
     }
     let report = s.report();
     *last_metrics = s.metrics_snapshot();
-    up.session(
+    up.send(
         &uplink::end_line(stream_id, s.position(), s.uplinked, &report),
         stats,
     );
@@ -1192,6 +1174,7 @@ fn finish_session(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::uplink::LineKind;
 
     fn chunk(stream_id: u32, n: usize) -> Work {
         Work::Chunk {
@@ -1315,6 +1298,79 @@ mod tests {
             log.replay_from(0).next().map(String::as_str),
             Some("line-10")
         );
+    }
+
+    #[test]
+    fn session_log_keeps_exactly_the_session_scoped_lines() {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+        let sock = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let _peer = listener.accept().expect("accept");
+        let mut out = LineOut {
+            out: BufWriter::new(sock),
+            broken: false,
+            logging: true,
+            log: SessionLog::default(),
+        };
+        let params = LoRaParams::new(tnb_phy::SpreadingFactor::SF8, tnb_phy::CodingRate::CR4);
+        let pkt = tnb_core::DecodedPacket {
+            payload: vec![1, 2, 3],
+            header: tnb_phy::header::Header {
+                payload_len: 3,
+                cr: tnb_phy::CodingRate::CR4,
+                has_crc: true,
+            },
+            start: 100.0,
+            cfo_cycles: 0.0,
+            snr_db: 5.0,
+            rescued_codewords: 0,
+            pass: 1,
+        };
+        let lines = [
+            uplink::hello_line(1, 30_000),
+            Uplink::new(&params, 0, 0, None, &pkt).to_line(),
+            uplink::ack_line(0, 3),
+            uplink::pong_line(7),
+            uplink::end_line(0, 9, 1, &DecodeReport::default()),
+            uplink::resumed_line(1, &[(0, 4, 1)]),
+            uplink::stats_line(
+                &GatewayStatsSnapshot::default(),
+                &DecodeReport::default(),
+                &MetricsSnapshot::default(),
+            ),
+            uplink::busy_line(1, 1),
+            uplink::error_line("crc-mismatch", "bad frame"),
+            uplink::goaway_line("shutdown"),
+        ];
+        let stats = GatewayStats::default();
+        for line in &lines {
+            out.send(line, &stats);
+        }
+        let kind = |l: &str| Line::parse(l).map(|l| l.kind);
+        let logged: Vec<_> = out.log.lines.iter().filter_map(|l| kind(l)).collect();
+        // The resume contract: the transcript-bearing lines are logged
+        // (and replayed), the connection-scoped ones are not.
+        assert_eq!(
+            logged,
+            [
+                LineKind::Uplink,
+                LineKind::Ack,
+                LineKind::End,
+                LineKind::Stats,
+                LineKind::Error
+            ]
+        );
+        for k in LineKind::ALL {
+            assert!(
+                lines.iter().any(|l| kind(l) == Some(k)),
+                "{k:?} not covered"
+            );
+            assert_eq!(k.session_scoped(), logged.contains(&k), "{k:?}");
+        }
+        // A connection without a session token logs nothing.
+        out.logging = false;
+        out.log = SessionLog::default();
+        out.send(&lines[1], &stats);
+        assert!(out.log.lines.is_empty());
     }
 
     #[test]

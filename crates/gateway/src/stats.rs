@@ -7,7 +7,7 @@
 //! counters of the decode path — and they never feed anything compared
 //! for byte-identity.
 
-use tnb_metrics::SharedCounter;
+use tnb_metrics::{json, SharedCounter};
 
 /// Live counters of one daemon instance (shared across every
 /// connection's threads via `Arc`).
@@ -160,15 +160,10 @@ impl GatewayStatsSnapshot {
 
     /// Compact JSON object with one key per counter.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, (name, value)) in self.fields().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{name}\":{value}"));
-        }
-        out.push('}');
-        out
+        self.fields()
+            .iter()
+            .fold(json::object(), |o, &(name, value)| o.val(name, value))
+            .finish()
     }
 }
 

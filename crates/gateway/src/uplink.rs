@@ -1,4 +1,4 @@
-//! JSON-lines uplink format for decoded packets.
+//! The daemon's JSON-lines output format, in both directions.
 //!
 //! Modeled on the Semtech UDP packet-forwarder `PUSH_DATA` shape: each
 //! decoded packet becomes one `rxpk`-style JSON object on its own line,
@@ -8,9 +8,17 @@
 //! stream; at 1 Msps one sample is one microsecond) — never the wall
 //! clock — so the uplink of a replayed stream is byte-identical on
 //! every run and on every worker count (TNB-DET01).
+//!
+//! This module is the single owner of the line format: it writes every
+//! line kind, reads lines back ([`Line::parse`], [`Uplink::parse`]), and
+//! holds the one rule ([`LineKind::session_scoped`]) that splits
+//! *session* lines, which the server logs per session and replays on
+//! RESUME and the resilient client counts as delivered, from
+//! connection-scoped *link* lines.
 
 use crate::stats::GatewayStatsSnapshot;
-use tnb_core::{DecodeReport, DecodedPacket, MetricsSnapshot};
+use tnb_core::metrics::json::{self, Value};
+use tnb_core::{DecodeOutcome, DecodeReport, DecodedPacket, MetricsSnapshot};
 use tnb_phy::params::LoRaParams;
 
 /// Center frequency reported in uplink lines, in MHz. The synthetic
@@ -46,10 +54,43 @@ pub fn base64(bytes: &[u8]) -> String {
     out
 }
 
+/// Decodes RFC 4648 padded base64 (the inverse of [`base64`]); `None`
+/// for a length that is not a multiple of 4, a character outside the
+/// alphabet, or padding anywhere but the last two places.
+pub fn base64_decode(s: &str) -> Option<Vec<u8>> {
+    if !s.len().is_multiple_of(4) {
+        return None;
+    }
+    let body = s.strip_suffix("==").or(s.strip_suffix('=')).unwrap_or(s);
+    let mut out = Vec::with_capacity(s.len() / 4 * 3);
+    let (mut bits, mut n) = (0u32, 0u32);
+    for c in body.bytes() {
+        bits = (bits << 6) | B64_ALPHABET.iter().position(|&a| a == c)? as u32;
+        n += 6;
+        if n >= 8 {
+            n -= 8;
+            out.push((bits >> n) as u8);
+        }
+    }
+    Some(out)
+}
+
 /// Data-rate string for the uplink (`SF8CR4` style: spreading factor
 /// plus coding rate, the two knobs this PHY exposes).
-pub fn datr(params: &LoRaParams) -> String {
-    format!("SF{}CR{}", params.sf.value(), params.cr.value())
+pub fn datr(sf: u8, cr: u8) -> String {
+    format!("SF{sf}CR{cr}")
+}
+
+/// Splits a [`datr`] string back into `(sf, cr)`.
+pub fn parse_datr(datr: &str) -> Option<(u8, u8)> {
+    let (sf, cr) = datr.strip_prefix("SF")?.split_once("CR")?;
+    // Digits only: `u8::from_str` would also take a leading `+`.
+    let num = |t: &str| {
+        t.bytes()
+            .all(|b| b.is_ascii_digit())
+            .then(|| t.parse().ok())?
+    };
+    Some((num(sf)?, num(cr)?))
 }
 
 /// Sample-clock timestamp of a packet start, in microseconds: the
@@ -64,62 +105,254 @@ pub fn sample_clock_us(start: f64, params: &LoRaParams) -> u64 {
     }
 }
 
-/// One uplink JSON line (no trailing newline) for a decoded packet.
-///
-/// `n` is the per-stream uplink ordinal (0-based). The `outcome` object
-/// reuses the per-packet schema of `DecodeReport.outcomes` (`tnb-cli
-/// report --json`), so consumers parse both feeds the same way.
+/// The kind of a daemon output line, named by its `type` member.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LineKind {
+    Uplink,
+    End,
+    Ack,
+    Stats,
+    Error,
+    Hello,
+    Resumed,
+    Pong,
+    Busy,
+    Goaway,
+}
+
+impl LineKind {
+    /// Every line kind.
+    pub const ALL: [LineKind; 10] = [
+        LineKind::Uplink,
+        LineKind::End,
+        LineKind::Ack,
+        LineKind::Stats,
+        LineKind::Error,
+        LineKind::Hello,
+        LineKind::Resumed,
+        LineKind::Pong,
+        LineKind::Busy,
+        LineKind::Goaway,
+    ];
+
+    /// The `type` string on the wire.
+    pub fn name(self) -> &'static str {
+        match self {
+            LineKind::Uplink => "uplink",
+            LineKind::End => "end",
+            LineKind::Ack => "ack",
+            LineKind::Stats => "stats",
+            LineKind::Error => "error",
+            LineKind::Hello => "hello",
+            LineKind::Resumed => "resumed",
+            LineKind::Pong => "pong",
+            LineKind::Busy => "busy",
+            LineKind::Goaway => "goaway",
+        }
+    }
+
+    /// Whether a line of this kind belongs to the session rather than
+    /// the connection. Session lines (uplink / end / ack / stats /
+    /// error) carry the transcript: the server logs them per session
+    /// and replays the undelivered tail on RESUME, and the resilient
+    /// client counts them as the delivery cursor it resumes with. Link
+    /// lines (hello / resumed / pong / busy / goaway) answer one
+    /// connection and are never logged or replayed.
+    pub fn session_scoped(self) -> bool {
+        matches!(
+            self,
+            LineKind::Uplink | LineKind::End | LineKind::Ack | LineKind::Stats | LineKind::Error
+        )
+    }
+}
+
+/// One daemon output line, read back: its kind, its `stream` member
+/// when it has one, and the whole parsed object.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Line {
+    /// The line's `type`.
+    pub kind: LineKind,
+    /// The `stream` member (uplink / end / ack lines).
+    pub stream: Option<u32>,
+    /// The parsed line.
+    pub value: Value,
+}
+
+impl Line {
+    /// Parses one line; `None` unless it is a JSON object whose `type`
+    /// names a [`LineKind`] and whose `stream`, if present, is a `u32`.
+    pub fn parse(line: &str) -> Option<Line> {
+        let value = json::parse(line)?;
+        let name = value.get("type")?.as_str()?;
+        let kind = LineKind::ALL.into_iter().find(|k| k.name() == name)?;
+        let stream = match value.get("stream") {
+            None => None,
+            Some(s) => Some(u32::try_from(s.as_u64()?).ok()?),
+        };
+        Some(Line {
+            kind,
+            stream,
+            value,
+        })
+    }
+
+    /// An unsigned member of the line, narrowed to `u32`.
+    pub fn u32(&self, key: &str) -> Option<u32> {
+        u32::try_from(self.value.get(key)?.as_u64()?).ok()
+    }
+}
+
+/// Starts a line object of the given kind.
+fn line(kind: LineKind) -> json::Object {
+    json::object().str("type", kind.name())
+}
+
+/// One decoded packet as an uplink line carries it. [`Uplink::to_line`]
+/// writes it and [`Uplink::parse`] reads it back; floats come back at
+/// their printed precision (SNR to 0.1 dB, CFO to 1 Hz).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Uplink {
+    /// Stream the packet was decoded on.
+    pub stream: u32,
+    /// Per-stream uplink ordinal (0-based).
+    pub n: u64,
+    /// Logical uplink channel (`0..M`, ascending frequency) of a
+    /// wideband stream; narrowband lines carry no `channel` key.
+    pub channel: Option<usize>,
+    /// Sample-clock timestamp of the packet start, µs
+    /// ([`sample_clock_us`]).
+    pub tmst: u64,
+    /// Spreading factor (from `datr`).
+    pub sf: u8,
+    /// Coding rate (from `datr`).
+    pub cr: u8,
+    /// Reported SNR, dB (`lsnr`).
+    pub snr_db: f32,
+    /// Carrier frequency offset, Hz (`foff`).
+    pub cfo_hz: f64,
+    /// Payload bytes (`data`, base64; `size` is their count).
+    pub data: Vec<u8>,
+    /// Detected packet start, fractional sample index (`outcome.start`).
+    pub start: f64,
+    /// Decoding pass that succeeded (`outcome.pass`).
+    pub pass: u8,
+    /// Codewords BEC corrected (`rescued`).
+    pub rescued: usize,
+}
+
+impl Uplink {
+    /// The uplink of `pkt`, the `n`-th (0-based) packet of `stream`;
+    /// `channel` tags a wideband stream's packet with the channel it was
+    /// heard on.
+    pub fn new(
+        params: &LoRaParams,
+        stream: u32,
+        n: u64,
+        channel: Option<usize>,
+        pkt: &DecodedPacket,
+    ) -> Uplink {
+        Uplink {
+            stream,
+            n,
+            channel,
+            tmst: sample_clock_us(pkt.start, params),
+            sf: params.sf.value() as u8,
+            cr: params.cr.value() as u8,
+            snr_db: pkt.snr_db,
+            cfo_hz: pkt.cfo_cycles * params.bin_hz(),
+            data: pkt.payload.clone(),
+            start: pkt.start,
+            pass: pkt.pass,
+            rescued: pkt.rescued_codewords,
+        }
+    }
+
+    /// The uplink JSON line (no trailing newline). The `outcome` object
+    /// reuses the per-packet schema of `DecodeReport.outcomes` (`tnb-cli
+    /// report --json`), so consumers parse both feeds the same way.
+    pub fn to_line(&self) -> String {
+        let mut o = line(LineKind::Uplink)
+            .val("stream", self.stream)
+            .val("n", self.n);
+        if let Some(c) = self.channel {
+            o = o.val("channel", c);
+        }
+        let rxpk = json::object()
+            .val("tmst", self.tmst)
+            .val("freq", UPLINK_FREQ_MHZ)
+            .str("datr", &datr(self.sf, self.cr))
+            .fixed("lsnr", f64::from(self.snr_db), 1)
+            .fixed("foff", self.cfo_hz, 0)
+            .val("size", self.data.len())
+            .str("data", &base64(&self.data))
+            .finish();
+        let outcome = DecodeOutcome::Decoded {
+            start: self.start,
+            pass: self.pass,
+        };
+        o.raw("rxpk", &rxpk)
+            .raw("outcome", &outcome.to_json())
+            .val("rescued", self.rescued)
+            .finish()
+    }
+
+    /// Reads an uplink line back; `None` for any other line kind, a
+    /// missing or mistyped field, bad base64, a `size` that disagrees
+    /// with the decoded `data`, a malformed `datr`, or an outcome that
+    /// is not `decoded`.
+    pub fn parse(text: &str) -> Option<Uplink> {
+        let line = Line::parse(text)?;
+        if line.kind != LineKind::Uplink {
+            return None;
+        }
+        let v = &line.value;
+        let rxpk = v.get("rxpk")?;
+        let outcome = v.get("outcome")?;
+        let data = base64_decode(rxpk.get("data")?.as_str()?)?;
+        if rxpk.get("size")?.as_u64()? != data.len() as u64
+            || outcome.get("status")?.as_str()? != "decoded"
+        {
+            return None;
+        }
+        let (sf, cr) = parse_datr(rxpk.get("datr")?.as_str()?)?;
+        let channel = match v.get("channel") {
+            None => None,
+            Some(c) => Some(usize::try_from(c.as_u64()?).ok()?),
+        };
+        Some(Uplink {
+            stream: line.stream?,
+            n: v.get("n")?.as_u64()?,
+            channel,
+            tmst: rxpk.get("tmst")?.as_u64()?,
+            sf,
+            cr,
+            snr_db: rxpk.get("lsnr")?.as_f64()? as f32,
+            cfo_hz: rxpk.get("foff")?.as_f64()?,
+            data,
+            start: outcome.get("start")?.as_f64()?,
+            pass: u8::try_from(outcome.get("pass")?.as_u64()?).ok()?,
+            rescued: usize::try_from(v.get("rescued")?.as_u64()?).ok()?,
+        })
+    }
+}
+
+/// One uplink JSON line for a narrowband stream's decoded packet:
+/// `Uplink::new(params, stream_id, n, None, pkt).to_line()`. Kept as a
+/// function because the out-of-workspace benchmark harness (`tnbbench`)
+/// renders its reference lines through it.
 pub fn uplink_line(params: &LoRaParams, stream_id: u32, n: u64, pkt: &DecodedPacket) -> String {
-    uplink_line_impl(params, stream_id, n, None, pkt)
-}
-
-/// Like [`uplink_line`] but for a wideband stream: tags the line with
-/// the logical uplink channel the packet was heard on (`0..M`, ascending
-/// frequency), as a top-level `channel` key.
-pub fn uplink_line_on_channel(
-    params: &LoRaParams,
-    stream_id: u32,
-    n: u64,
-    channel: usize,
-    pkt: &DecodedPacket,
-) -> String {
-    uplink_line_impl(params, stream_id, n, Some(channel), pkt)
-}
-
-fn uplink_line_impl(
-    params: &LoRaParams,
-    stream_id: u32,
-    n: u64,
-    channel: Option<usize>,
-    pkt: &DecodedPacket,
-) -> String {
-    let chan = channel.map_or(String::new(), |c| format!("\"channel\":{c},"));
-    format!(
-        "{{\"type\":\"uplink\",\"stream\":{stream_id},\"n\":{n},{chan}\
-         \"rxpk\":{{\"tmst\":{},\"freq\":{UPLINK_FREQ_MHZ},\"datr\":\"{}\",\
-         \"lsnr\":{:.1},\"foff\":{:.0},\"size\":{},\"data\":\"{}\"}},\
-         \"outcome\":{{\"status\":\"decoded\",\"start\":{},\"pass\":{}}},\
-         \"rescued\":{}}}",
-        sample_clock_us(pkt.start, params),
-        datr(params),
-        pkt.snr_db,
-        pkt.cfo_cycles * params.bin_hz(),
-        pkt.payload.len(),
-        base64(&pkt.payload),
-        pkt.start,
-        pkt.pass,
-        pkt.rescued_codewords,
-    )
+    Uplink::new(params, stream_id, n, None, pkt).to_line()
 }
 
 /// The end-of-stream line: totals plus the cumulative decode report
 /// (aggregate counts and per-packet outcomes with degradation reasons).
 pub fn end_line(stream_id: u32, samples: u64, uplinked: u64, report: &DecodeReport) -> String {
-    format!(
-        "{{\"type\":\"end\",\"stream\":{stream_id},\"samples\":{samples},\
-         \"uplinked\":{uplinked},\"report\":{}}}",
-        report.to_json()
-    )
+    line(LineKind::End)
+        .val("stream", stream_id)
+        .val("samples", samples)
+        .val("uplinked", uplinked)
+        .raw("report", &report.to_json())
+        .finish()
 }
 
 /// The STATS control-verb response: gateway counters, the cumulative
@@ -130,19 +363,21 @@ pub fn stats_line(
     report: &DecodeReport,
     metrics: &MetricsSnapshot,
 ) -> String {
-    format!(
-        "{{\"type\":\"stats\",\"gateway\":{},\"report\":{},\"metrics\":{}}}",
-        gateway.to_json(),
-        report.to_json(),
-        metrics.to_json()
-    )
+    line(LineKind::Stats)
+        .raw("gateway", &gateway.to_json())
+        .raw("report", &report.to_json())
+        .raw("metrics", &metrics.to_json())
+        .finish()
 }
 
 /// The HELLO reply: the session token this connection can later RESUME
 /// with, and the grace window (in milliseconds) a parked session
 /// survives a disconnect.
 pub fn hello_line(session: u32, grace_ms: u64) -> String {
-    format!("{{\"type\":\"hello\",\"session\":{session},\"grace_ms\":{grace_ms}}}")
+    line(LineKind::Hello)
+        .val("session", session)
+        .val("grace_ms", grace_ms)
+        .finish()
 }
 
 /// The RESUME reply: the re-attached session plus each parked stream's
@@ -150,44 +385,53 @@ pub fn hello_line(session: u32, grace_ms: u64) -> String {
 /// not consumed; resend from here) and how many packets it already
 /// uplinked.
 pub fn resumed_line(session: u32, streams: &[(u32, u32, u64)]) -> String {
-    let mut body = String::new();
-    for (i, (stream, next_seq, uplinked)) in streams.iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        body.push_str(&format!(
-            "{{\"stream\":{stream},\"next_seq\":{next_seq},\"uplinked\":{uplinked}}}"
-        ));
-    }
-    format!("{{\"type\":\"resumed\",\"session\":{session},\"streams\":[{body}]}}")
+    let streams = json::array(streams.iter().map(|&(stream, next_seq, uplinked)| {
+        json::object()
+            .val("stream", stream)
+            .val("next_seq", next_seq)
+            .val("uplinked", uplinked)
+            .finish()
+    }));
+    line(LineKind::Resumed)
+        .val("session", session)
+        .raw("streams", &streams)
+        .finish()
 }
 
 /// A delivery acknowledgment: every DATA frame of `stream` with
 /// `seq <= ack` has been consumed by the decoder, so the client can
 /// drop those frames from its resend buffer.
 pub fn ack_line(stream: u32, ack: u32) -> String {
-    format!("{{\"type\":\"ack\",\"stream\":{stream},\"seq\":{ack}}}")
+    line(LineKind::Ack)
+        .val("stream", stream)
+        .val("seq", ack)
+        .finish()
 }
 
 /// The PING reply, echoing the probe's nonce.
 pub fn pong_line(nonce: u32) -> String {
-    format!("{{\"type\":\"pong\",\"nonce\":{nonce}}}")
+    line(LineKind::Pong).val("nonce", nonce).finish()
 }
 
 /// The admission-control reject: the daemon is at its connection cap;
 /// the client should back off and retry.
 pub fn busy_line(active: usize, max_conns: usize) -> String {
-    format!("{{\"type\":\"busy\",\"active\":{active},\"max_conns\":{max_conns}}}")
+    line(LineKind::Busy)
+        .val("active", active)
+        .val("max_conns", max_conns)
+        .finish()
 }
 
 /// A graceful-close notice with a stable reason
 /// (`idle-timeout` / `write-timeout` / `unknown-session` / `shutdown`).
 pub fn goaway_line(reason: &str) -> String {
-    format!("{{\"type\":\"goaway\",\"reason\":\"{reason}\"}}")
+    line(LineKind::Goaway).str("reason", reason).finish()
 }
 
 /// A protocol-error line (`error` is a stable [`crate::wire::WireError`]
-/// name; `detail` is the human-readable rendering).
+/// name; `detail` is the human-readable rendering, with quotes turned
+/// into apostrophes and line breaks into spaces so it reads on one
+/// line).
 pub fn error_line(error: &str, detail: &str) -> String {
     let clean: String = detail
         .chars()
@@ -197,7 +441,10 @@ pub fn error_line(error: &str, detail: &str) -> String {
             c => c,
         })
         .collect();
-    format!("{{\"type\":\"error\",\"error\":\"{error}\",\"detail\":\"{clean}\"}}")
+    line(LineKind::Error)
+        .str("error", error)
+        .str("detail", &clean)
+        .finish()
 }
 
 #[cfg(test)]
@@ -214,6 +461,29 @@ mod tests {
         assert_eq!(base64(b"foob"), "Zm9vYg==");
         assert_eq!(base64(b"fooba"), "Zm9vYmE=");
         assert_eq!(base64(b"foobar"), "Zm9vYmFy");
+    }
+
+    #[test]
+    fn base64_decode_inverts_the_encoder() {
+        for n in 0..40usize {
+            let bytes: Vec<u8> = (0..n).map(|i| (i * 37 + n) as u8).collect();
+            let enc = base64(&bytes);
+            assert_eq!(base64_decode(&enc).as_deref(), Some(bytes.as_slice()));
+        }
+        for bad in ["!!!!", "AB", "Zg=", "Zg==Zg==", "Z===", "====", "Zm9v\n"] {
+            assert_eq!(base64_decode(bad), None, "{bad}");
+        }
+    }
+
+    #[test]
+    fn datr_parses_both_knobs() {
+        assert_eq!(parse_datr(&datr(8, 4)), Some((8, 4)));
+        assert_eq!(parse_datr("SF12CR1"), Some((12, 1)));
+        for bad in [
+            "SFXCR1", "8CR1", "SF8CR", "SFCR4", "SF8CR4x", "SF+8CR4", "SF8",
+        ] {
+            assert_eq!(parse_datr(bad), None, "{bad}");
+        }
     }
 
     #[test]
@@ -267,7 +537,7 @@ mod tests {
             rescued_codewords: 0,
             pass: 1,
         };
-        let line = uplink_line_on_channel(&params, 2, 1, 6, &pkt);
+        let line = Uplink::new(&params, 2, 1, Some(6), &pkt).to_line();
         assert!(
             line.starts_with("{\"type\":\"uplink\",\"stream\":2,\"n\":1,\"channel\":6,"),
             "{line}"

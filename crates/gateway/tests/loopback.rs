@@ -7,29 +7,37 @@
 
 use std::time::Duration;
 
+use tnb_gateway::uplink::{Line, LineKind};
 use tnb_gateway::{Gateway, GatewayClient, GatewayConfig};
 use tnb_phy::{CodingRate, LoRaParams, SpreadingFactor};
-use tnb_sim::gateway::{run_loopback, LoopbackConfig};
+use tnb_sim::gateway::{run, HarnessConfig, Scene};
 
 fn params() -> LoRaParams {
     LoRaParams::new(SpreadingFactor::SF8, CodingRate::CR4)
 }
 
-fn run(workers: usize) {
-    let cfg = LoopbackConfig {
+fn kind(line: &str) -> Option<LineKind> {
+    Line::parse(line).map(|l| l.kind)
+}
+
+fn check(workers: usize) {
+    let streams = 2;
+    let cfg = HarnessConfig {
+        scene: Scene::Collided {
+            streams,
+            packets: 3,
+        },
         workers,
-        streams: 2,
-        packets: 3,
         chunk: 32_768,
         seed: 7,
-        ..LoopbackConfig::new(params())
+        ..HarnessConfig::new(params())
     };
-    let outcome = run_loopback(&cfg).expect("loopback run");
+    let outcome = run(&cfg).expect("loopback run");
     assert!(
-        outcome.uplinked >= 2 * cfg.streams as u64,
+        outcome.stats.packets_uplinked >= 2 * u64::from(streams),
         "expected ≥2 decodes per 3-packet collision per stream: {outcome:?}"
     );
-    for s in 0..cfg.streams as usize {
+    for s in 0..streams as usize {
         assert_eq!(
             outcome.daemon_lines[s], outcome.reference_lines[s],
             "stream {s} transcript diverged at {} workers",
@@ -39,7 +47,7 @@ fn run(workers: usize) {
         // and per-packet outcomes; the stream terminates with a report.
         let uplink = outcome.daemon_lines[s]
             .iter()
-            .find(|l| l.contains("\"type\":\"uplink\""))
+            .find(|l| kind(l) == Some(LineKind::Uplink))
             .expect("at least one uplink line");
         for key in [
             "\"tmst\":",
@@ -50,7 +58,7 @@ fn run(workers: usize) {
             assert!(uplink.contains(key), "missing {key} in {uplink}");
         }
         let end = outcome.daemon_lines[s].last().expect("end line");
-        assert!(end.contains("\"type\":\"end\""), "{end}");
+        assert_eq!(kind(end), Some(LineKind::End), "{end}");
         assert!(end.contains("\"outcomes\":["), "{end}");
     }
     assert_eq!(outcome.stats.protocol_errors, 0, "{outcome:?}");
@@ -59,12 +67,12 @@ fn run(workers: usize) {
 
 #[test]
 fn loopback_byte_identical_one_worker() {
-    run(1);
+    check(1);
 }
 
 #[test]
 fn loopback_byte_identical_four_workers() {
-    run(4);
+    check(4);
 }
 
 #[test]
@@ -81,7 +89,7 @@ fn stats_and_shutdown_verbs() {
 
     let stats_line = lines
         .iter()
-        .find(|l| l.contains("\"type\":\"stats\""))
+        .find(|l| kind(l) == Some(LineKind::Stats))
         .unwrap_or_else(|| panic!("no stats line in {lines:?}"));
     for key in [
         "\"gateway\":{",

@@ -9,9 +9,10 @@ use std::time::Duration;
 
 use tnb_core::StreamingConfig;
 use tnb_gateway::netfaults::{ChaosProxy, NetFault, NetFaultPlan};
+use tnb_gateway::uplink::{Line, LineKind};
 use tnb_gateway::wire::{encode_frame, quantize, Frame};
 use tnb_gateway::{Gateway, GatewayClient, GatewayConfig, ResilientClient, ResilientConfig};
-use tnb_phy::{CodingRate, LoRaParams, SpreadingFactor};
+use tnb_phy::{CodingRate, LoRaParams, SpreadingFactor, Transmitter};
 use tnb_sim::gateway::{collided_samples, reference_transcript};
 
 fn params() -> LoRaParams {
@@ -20,6 +21,18 @@ fn params() -> LoRaParams {
 
 fn spawn_daemon(cfg: GatewayConfig) -> Gateway {
     Gateway::spawn(("127.0.0.1", 0), cfg).expect("bind loopback")
+}
+
+/// The decode transcript within a client's lines: uplink and end lines,
+/// without the control chatter (hello / ack / goaway / ...).
+fn decode_lines(lines: &[String]) -> Vec<String> {
+    lines
+        .iter()
+        .filter(|l| {
+            Line::parse(l).is_some_and(|l| matches!(l.kind, LineKind::Uplink | LineKind::End))
+        })
+        .cloned()
+        .collect()
 }
 
 fn resilient(addr: std::net::SocketAddr) -> ResilientClient {
@@ -92,8 +105,9 @@ fn admission_control_answers_busy_past_the_connection_cap() {
     BufReader::new(&second)
         .read_line(&mut line)
         .expect("busy line");
-    assert!(
-        line.starts_with("{\"type\":\"busy\""),
+    assert_eq!(
+        Line::parse(&line).map(|l| l.kind),
+        Some(LineKind::Busy),
         "expected busy reject, got {line:?}"
     );
     // The rejected socket is closed server-side.
@@ -112,25 +126,33 @@ fn admission_control_answers_busy_past_the_connection_cap() {
 
 #[test]
 fn backpressure_sheds_load_while_the_decoder_is_busy() {
-    // Tiny ingest queue + per-stream quota. The first frame is a heavy
-    // decode (a full collided chunk); while the decoder chews on it the
-    // follow-up frames pile onto the queue and must be shed/evicted —
-    // deterministically, because the decode takes far longer than the
-    // blast of sends.
+    // Tiny ingest queue + per-stream quota. The first frame fills a
+    // whole streaming window, so pushing it runs a full decode of a
+    // dozen overlapping packets (tens of ms), and the 40-frame blast
+    // behind it goes out in the same write, so its bytes already sit in
+    // the daemon's socket buffer when that decode starts. The reader
+    // then only has to queue three small frames during the decode —
+    // microseconds of work against milliseconds — so the quota sheds
+    // unless the reader thread is starved for the whole decode.
     let gw = spawn_daemon(GatewayConfig {
         queue_chunks: 4,
         quota_chunks: 2,
         ..GatewayConfig::new(params())
     });
     let mut c = GatewayClient::connect(gw.local_addr(), Duration::from_secs(5)).expect("connect");
-    let samples = collided_samples(params(), 3, 2);
-    c.send_samples(0, &samples, samples.len())
-        .expect("heavy chunk");
+    let streaming = StreamingConfig::default();
+    let window =
+        streaming.window_factor * Transmitter::new(params()).packet_samples(streaming.max_payload);
+    let mut heavy = collided_samples(params(), 3, 12);
+    heavy.resize(heavy.len().max(window), tnb_dsp::Complex32::ZERO);
+    let mut burst = encode_frame(&Frame::data(0, 0, heavy));
     for _ in 0..40 {
         let frame = Frame::data(0, u32::MAX, vec![tnb_dsp::Complex32::ZERO; 64]);
-        c.send_raw(&encode_frame(&frame)).expect("blast");
+        burst.extend(encode_frame(&frame));
     }
-    c.end_stream(0).expect("end");
+    c.send_raw(&burst).expect("heavy chunk and blast");
+    c.send_raw(&encode_frame(&Frame::end_stream(0, 1)))
+        .expect("end");
     let _ = c.finish();
     let stats = gw.join();
     assert!(
@@ -181,13 +203,9 @@ fn reconnect_resume_continues_a_stream_mid_packet_byte_identically() {
 
     let quantized = quantize(&samples);
     let (reference, _) = reference_transcript(p, StreamingConfig::default(), 0, &quantized, chunk);
-    let got: Vec<String> = transcript
-        .iter()
-        .filter(|l| l.starts_with("{\"type\":\"uplink\"") || l.starts_with("{\"type\":\"end\""))
-        .cloned()
-        .collect();
     assert_eq!(
-        got, reference,
+        decode_lines(&transcript),
+        reference,
         "recovered transcript must be byte-identical"
     );
 }
@@ -220,12 +238,7 @@ fn shutdown_with_streams_in_flight_drains_and_exits_clean() {
     let _ = killer.finish();
     let stats = gw.join();
 
-    let transcript = inflight.finish();
-    let got: Vec<String> = transcript
-        .iter()
-        .filter(|l| l.starts_with("{\"type\":\"uplink\"") || l.starts_with("{\"type\":\"end\""))
-        .cloned()
-        .collect();
+    let got = decode_lines(&inflight.finish());
     // The shutdown flush equals a clean END-driven decode: push all
     // chunks, finish, end line.
     let quantized = quantize(&samples);

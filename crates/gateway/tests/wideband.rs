@@ -9,11 +9,11 @@
 
 use std::time::Duration;
 
+use tnb_gateway::uplink::Uplink;
 use tnb_gateway::wire::{encode_frame, quantize, Frame};
 use tnb_gateway::{Gateway, GatewayClient, GatewayConfig};
 use tnb_phy::{CodingRate, LoRaParams, SpreadingFactor};
-use tnb_sim::gateway::{collided_samples, reference_transcript};
-use tnb_sim::wideband::{run_wideband_loopback, WidebandLoopbackConfig};
+use tnb_sim::gateway::{collided_samples, reference_transcript, run, HarnessConfig, Scene};
 
 fn params() -> LoRaParams {
     LoRaParams::new(SpreadingFactor::SF8, CodingRate::CR4)
@@ -21,28 +21,31 @@ fn params() -> LoRaParams {
 
 #[test]
 fn wideband_stream_uplinks_byte_identical_per_channel_lines() {
-    let cfg = WidebandLoopbackConfig::new(params());
-    let outcome = run_wideband_loopback(&cfg).expect("wideband loopback");
+    let occupied = [1, 4, 6];
+    let cfg = HarnessConfig {
+        scene: Scene::Wideband {
+            occupied: occupied.to_vec(),
+        },
+        chunk: 40_000,
+        seed: 40,
+        ..HarnessConfig::new(params())
+    };
+    let outcome = run(&cfg).expect("wideband loopback");
+    let lines = &outcome.daemon_lines[0];
 
     assert!(
-        outcome
-            .daemon_lines
-            .iter()
-            .any(|l| l.contains("\"uplink\"")),
-        "daemon uplinked nothing: {:?}",
-        outcome.daemon_lines
+        lines.iter().any(|l| Uplink::parse(l).is_some()),
+        "daemon uplinked nothing: {lines:?}"
     );
     assert_eq!(
         outcome.daemon_lines, outcome.reference_lines,
         "wideband transcript diverged from the in-process reference"
     );
     // Every uplink line names its channel; only occupied channels appear.
-    for line in &outcome.daemon_lines {
-        if line.contains("\"type\":\"uplink\"") {
-            assert!(line.contains("\"channel\":"), "{line}");
-        }
+    for up in lines.iter().filter_map(|l| Uplink::parse(l)) {
+        assert!(up.channel.is_some(), "{up:?}");
     }
-    for &c in &cfg.occupied {
+    for c in occupied {
         assert!(
             outcome.per_channel[c] >= 1,
             "channel {c} decoded nothing: {:?}",
@@ -50,7 +53,7 @@ fn wideband_stream_uplinks_byte_identical_per_channel_lines() {
         );
     }
     for (c, &n) in outcome.per_channel.iter().enumerate() {
-        if !cfg.occupied.contains(&c) {
+        if !occupied.contains(&c) {
             assert_eq!(n, 0, "ghost packets on empty channel {c}");
         }
     }

@@ -20,6 +20,12 @@
 //! nothing, so the instrumented pipeline is zero-cost when observability
 //! is off; recording itself never allocates (fixed-size bucket arrays),
 //! keeping the receiver's zero-alloc steady state intact.
+//!
+//! The crate also owns the workspace's JSON codec ([`json`]): the one
+//! writer every report and gateway line is rendered through, and the
+//! one reader that parses lines back.
+
+pub mod json;
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -292,10 +298,15 @@ impl HistogramSnapshot {
     /// Compact JSON object, e.g.
     /// `{"count":3,"sum":42,"min":2,"max":30,"p50":15,"p90":31,"p99":31}`.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p90\":{},\"p99\":{}}}",
-            self.count, self.sum, self.min, self.max, self.p50, self.p90, self.p99
-        )
+        json::object()
+            .val("count", self.count)
+            .val("sum", self.sum)
+            .val("min", self.min)
+            .val("max", self.max)
+            .val("p50", self.p50)
+            .val("p90", self.p90)
+            .val("p99", self.p99)
+            .finish()
     }
 }
 
@@ -572,28 +583,24 @@ impl MetricsSnapshot {
     /// Compact JSON object with per-stage timings, distributions and
     /// gauges (stage counters live in `DecodeReport`, not here).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"timings_ns\":{");
-        for (i, stage) in Stage::ALL.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\"{}\":{}",
-                stage.name(),
-                self.wall(*stage).to_json()
-            ));
-        }
-        out.push_str(&format!(
-            "}},\"matching_cost_milli\":{},\"bec_candidates\":{},\
-             \"pool\":{{\"hits\":{},\"misses\":{}}},\"clusters\":{},\"workers\":{}}}",
-            self.matching_cost_milli.to_json(),
-            self.bec_candidates.to_json(),
-            self.pool_hits,
-            self.pool_misses,
-            self.clusters,
-            self.workers
-        ));
-        out
+        let timings = Stage::ALL
+            .iter()
+            .fold(json::object(), |o, &stage| {
+                o.raw(stage.name(), &self.wall(stage).to_json())
+            })
+            .finish();
+        let pool = json::object()
+            .val("hits", self.pool_hits)
+            .val("misses", self.pool_misses)
+            .finish();
+        json::object()
+            .raw("timings_ns", &timings)
+            .raw("matching_cost_milli", &self.matching_cost_milli.to_json())
+            .raw("bec_candidates", &self.bec_candidates.to_json())
+            .raw("pool", &pool)
+            .val("clusters", self.clusters)
+            .val("workers", self.workers)
+            .finish()
     }
 }
 

@@ -6,13 +6,11 @@
 //! metrics the figures report (throughput, PRR, medium usage, collision
 //! level, BEC-rescued codewords).
 
-pub mod chaos;
 pub mod deployment;
 pub mod gateway;
 pub mod metrics;
 pub mod runner;
 pub mod traffic;
-pub mod wideband;
 
 pub use deployment::Deployment;
 pub use runner::{

@@ -5,16 +5,56 @@
 //! recoverable by construction (destructive faults are one-shot) — the
 //! uplink transcript must be byte-identical to a fault-free run.
 
+use tnb_gateway::NetFaultPlan;
 use tnb_phy::{CodingRate, LoRaParams, SpreadingFactor};
-use tnb_sim::chaos::{run_chaos_matrix, ChaosConfig};
+use tnb_sim::gateway::{run, HarnessConfig, HarnessOutcome, Scene, FAULT_CHUNK};
+
+/// One scenario's outcome, with the plan fields the checks read.
+struct Row {
+    scenario: &'static str,
+    recoverable: bool,
+    parity: bool,
+    reconnects: u64,
+    resent: u64,
+    proxy_faults: u64,
+    stats: tnb_gateway::GatewayStatsSnapshot,
+}
+
+impl Row {
+    fn new(cfg: &HarnessConfig, run: &HarnessOutcome) -> Row {
+        let plan = cfg.faults.as_ref().expect("fault matrix runs carry a plan");
+        Row {
+            scenario: plan.name,
+            recoverable: plan.recoverable,
+            parity: run.byte_identical(),
+            reconnects: run.client.reconnects,
+            resent: run.client.retransmitted_frames,
+            proxy_faults: run.proxy_faults,
+            stats: run.stats,
+        }
+    }
+}
 
 #[test]
 fn chaos_matrix_never_panics_and_recovers_byte_identically() {
-    let cfg = ChaosConfig {
-        packets: 2,
-        ..ChaosConfig::new(LoRaParams::new(SpreadingFactor::SF7, CodingRate::CR4))
+    let base = HarnessConfig {
+        scene: Scene::Collided {
+            streams: 1,
+            packets: 2,
+        },
+        chunk: FAULT_CHUNK,
+        ..HarnessConfig::new(LoRaParams::new(SpreadingFactor::SF7, CodingRate::CR4))
     };
-    let rows = run_chaos_matrix(&cfg).expect("chaos matrix runs");
+    let rows: Vec<Row> = NetFaultPlan::matrix(1)
+        .into_iter()
+        .map(|plan| {
+            let cfg = HarnessConfig {
+                faults: Some(plan),
+                ..base.clone()
+            };
+            Row::new(&cfg, &run(&cfg).expect("chaos scenario runs"))
+        })
+        .collect();
     assert_eq!(rows.len(), 8, "every matrix scenario ran");
     for row in &rows {
         assert_eq!(
