@@ -68,12 +68,15 @@ commands:
   gateway send --addr HOST:PORT (--trace FILE | --demo-collision)
                [--sf N] [--cr N] [--seed N] [--stream N] [--chunk N]
                [--wideband] [--stats] [--shutdown] [--chaos-seed N]
-      stream a trace to a running daemon and print its uplink lines.
-      --wideband marks every DATA frame with the WIDEBAND flag so the
-      daemon channelizes the stream into 8 uplink channels first.
-      --chaos-seed routes the connection through an in-process
-      NetFaultPlan proxy (seeded injector picked from the matrix) and
-      drives it with the reconnect+RESUME resilient client
+               [--connect-timeout S]
+      stream a trace to a running daemon over a resumable session
+      (HELLO/RESUME, reconnect, resend of unacked frames) and print
+      every line it returns: hello and ack lines, then the uplink and
+      end lines. --wideband marks every DATA frame with the WIDEBAND
+      flag so the daemon channelizes the stream into 8 uplink channels
+      first. --chaos-seed puts an in-process NetFaultPlan proxy
+      (seeded injector picked from the matrix) in front of the daemon.
+      --connect-timeout bounds each dial, in seconds (default 10)
 
   gateway bench [--sf N] [--cr N] [--workers N,M] [--streams N]
                 [--packets N] [--seed N] [--json] [--chaos-seed N]
@@ -116,10 +119,13 @@ impl<'a> Flags<'a> {
     }
 
     fn parse_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
-        match self.get(name) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("bad value for {name}: {v}")),
-        }
+        Ok(self.parse_opt(name)?.unwrap_or(default))
+    }
+
+    fn parse_opt<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        self.get(name)
+            .map(|v| v.parse().map_err(|_| format!("bad value for {name}: {v}")))
+            .transpose()
     }
 
     fn has(&self, name: &str) -> bool {
@@ -135,11 +141,30 @@ fn parse_tnb_config(flags: &Flags) -> TnbConfig {
 }
 
 fn parse_params(flags: &Flags) -> Result<LoRaParams, String> {
-    let sf: usize = flags.require("--sf")?.parse().map_err(|_| "bad --sf")?;
-    let sf = SpreadingFactor::from_value(sf).ok_or("--sf must be 7..=12")?;
-    let cr: usize = flags.parse_or("--cr", 4usize)?;
-    let cr = CodingRate::from_value(cr).ok_or("--cr must be 1..=4")?;
+    flags.require("--sf")?;
+    parse_params_or_sf8(flags)
+}
+
+/// LoRa parameters from `--sf` (default 8) and `--cr` (default 4).
+fn parse_params_or_sf8(flags: &Flags) -> Result<LoRaParams, String> {
+    let sf = SpreadingFactor::from_value(flags.parse_or("--sf", 8usize)?)
+        .ok_or("--sf must be 7..=12")?;
+    let cr = CodingRate::from_value(flags.parse_or("--cr", 4usize)?).ok_or("--cr must be 1..=4")?;
     Ok(LoRaParams::new(sf, cr))
+}
+
+/// The `--demo-collision | --trace FILE` input of `report`, `faults`
+/// and `gateway send`: the seeded demo collision (`--seed`, default 7;
+/// `--sf` defaults to 8) or a trace file (`--sf` required).
+fn load_input(flags: &Flags) -> Result<(LoRaParams, Vec<tnb_dsp::Complex32>), String> {
+    if flags.has("--demo-collision") {
+        let params = parse_params_or_sf8(flags)?;
+        let seed = flags.parse_or("--seed", 7u64)?;
+        return Ok((params, demo_collision(params, seed)));
+    }
+    let path = flags.require("--trace")?;
+    let params = parse_params(flags)?;
+    Ok((params, load_trace(path).map_err(|e| e.to_string())?))
 }
 
 /// `tnb-cli generate`: synthesize a deployment trace to a file.
@@ -355,21 +380,7 @@ fn tnb_decode(
 /// wall times, counters and distributions (the observability layer).
 pub fn report(args: &[String]) -> Result<(), String> {
     let flags = Flags(args);
-    let (params, samples) = if flags.has("--demo-collision") {
-        let sf = SpreadingFactor::from_value(flags.parse_or("--sf", 8usize)?)
-            .ok_or("--sf must be 7..=12")?;
-        let cr =
-            CodingRate::from_value(flags.parse_or("--cr", 4usize)?).ok_or("--cr must be 1..=4")?;
-        let params = LoRaParams::new(sf, cr);
-        (
-            params,
-            demo_collision(params, flags.parse_or("--seed", 7u64)?),
-        )
-    } else {
-        let path = flags.require("--trace")?;
-        let params = parse_params(&flags)?;
-        (params, load_trace(path).map_err(|e| e.to_string())?)
-    };
+    let (params, samples) = load_input(&flags)?;
     let workers: usize = flags.parse_or("--workers", 1usize)?.max(1);
     let cfg = parse_tnb_config(&flags);
     let (decoded, report, snapshot) = tnb_decode(params, cfg, workers, &samples);
@@ -503,18 +514,7 @@ fn faults_json(rows: &[FaultRow]) -> String {
 pub fn faults(args: &[String]) -> Result<(), String> {
     let flags = Flags(args);
     let seed: u64 = flags.parse_or("--seed", 7u64)?;
-    let (params, base) = if flags.has("--trace") {
-        let path = flags.require("--trace")?;
-        let params = parse_params(&flags)?;
-        (params, load_trace(path).map_err(|e| e.to_string())?)
-    } else {
-        let sf = SpreadingFactor::from_value(flags.parse_or("--sf", 8usize)?)
-            .ok_or("--sf must be 7..=12")?;
-        let cr =
-            CodingRate::from_value(flags.parse_or("--cr", 4usize)?).ok_or("--cr must be 1..=4")?;
-        let params = LoRaParams::new(sf, cr);
-        (params, demo_collision(params, seed))
-    };
+    let (params, base) = load_input(&flags)?;
     let workers: usize = flags.parse_or("--workers", 2usize)?.max(1);
     let flavours: Vec<&'static str> = match flags.get("--receiver").unwrap_or("all") {
         "serial" => vec!["serial"],
@@ -695,6 +695,7 @@ fn gateway_serve(args: &[String]) -> Result<(), String> {
     let workers: usize = flags.parse_or("--workers", 1usize)?.max(1);
     let idle_ms: u64 = flags.parse_or("--idle-timeout", 0u64)?;
     let max_conns: usize = flags.parse_or("--max-conns", 0usize)?;
+    let queue: usize = flags.parse_or("--queue", 256usize)?;
     let cfg = tnb_gateway::GatewayConfig {
         params,
         streaming: StreamingConfig {
@@ -702,7 +703,7 @@ fn gateway_serve(args: &[String]) -> Result<(), String> {
             workers,
             ..StreamingConfig::default()
         },
-        queue_chunks: flags.parse_or("--queue", 256usize)?,
+        queue_chunks: queue,
         quota_chunks: flags.parse_or("--quota", 0usize)?,
         idle_timeout: (idle_ms > 0).then(|| std::time::Duration::from_millis(idle_ms)),
         max_conns,
@@ -717,7 +718,7 @@ fn gateway_serve(args: &[String]) -> Result<(), String> {
         params.cr.value(),
         workers,
         if workers == 1 { "" } else { "s" },
-        flags.parse_or("--queue", 256usize)?,
+        queue,
         if idle_ms > 0 {
             format!("{idle_ms}ms")
         } else {
@@ -741,108 +742,43 @@ fn gateway_serve(args: &[String]) -> Result<(), String> {
 }
 
 /// `tnb-cli gateway send`: stream a trace (or the demo collision) to a
-/// daemon and print every uplink line it returns.
+/// daemon over a resilient session and print every line it returns.
+/// `--chaos-seed` puts an in-process [`tnb_gateway::ChaosProxy`] in
+/// front of the daemon (the seed picks one injector from the matrix and
+/// its fault offsets), proving reconnect+RESUME survives the fault.
 fn gateway_send(args: &[String]) -> Result<(), String> {
     let flags = Flags(args);
     let addr = flags.require("--addr")?;
-    let (params, samples) = if flags.has("--demo-collision") {
-        let sf = SpreadingFactor::from_value(flags.parse_or("--sf", 8usize)?)
-            .ok_or("--sf must be 7..=12")?;
-        let cr =
-            CodingRate::from_value(flags.parse_or("--cr", 4usize)?).ok_or("--cr must be 1..=4")?;
-        let params = LoRaParams::new(sf, cr);
-        (
-            params,
-            demo_collision(params, flags.parse_or("--seed", 7u64)?),
-        )
-    } else {
-        let path = flags.require("--trace")?;
-        let params = parse_params(&flags)?;
-        (params, load_trace(path).map_err(|e| e.to_string())?)
-    };
-    let _ = params;
+    let (_, samples) = load_input(&flags)?;
     let stream_id: u32 = flags.parse_or("--stream", 0u32)?;
     let chunk: usize = flags.parse_or("--chunk", tnb_gateway::client::DEFAULT_CHUNK)?;
-    if let Some(chaos) = flags.get("--chaos-seed") {
-        let chaos_seed: u64 = chaos
-            .parse()
-            .map_err(|_| format!("bad value for --chaos-seed: {chaos}"))?;
-        if flags.has("--wideband") {
-            return Err("--chaos-seed does not support --wideband".into());
+    let connect_timeout = flags.parse_or("--connect-timeout", 10u64)?;
+    let chaos_seed: Option<u64> = flags.parse_opt("--chaos-seed")?;
+    let proxy = match chaos_seed {
+        Some(seed) => {
+            let plans = NetFaultPlan::matrix(seed);
+            let plan = plans[(seed % plans.len() as u64) as usize].clone();
+            eprintln!(
+                "chaos: injecting '{}' (seed {seed}) in front of {addr}",
+                plan.name
+            );
+            let proxy = tnb_gateway::ChaosProxy::spawn(addr, plan);
+            Some(proxy.map_err(|e| format!("chaos proxy: {e}"))?)
         }
-        return gateway_send_chaos(&flags, addr, chaos_seed, stream_id, &samples, chunk);
-    }
-    let mut client = tnb_gateway::GatewayClient::connect(
-        addr,
-        std::time::Duration::from_secs(flags.parse_or("--connect-timeout", 10u64)?),
-    )
-    .map_err(|e| format!("connect {addr}: {e}"))?;
-    if flags.has("--wideband") {
-        client
-            .send_samples_wideband(stream_id, &samples, chunk)
-            .map_err(|e| format!("stream: {e}"))?;
-    } else {
-        client
-            .send_samples(stream_id, &samples, chunk)
-            .map_err(|e| format!("stream: {e}"))?;
-    }
-    client
-        .end_stream(stream_id)
-        .map_err(|e| format!("stream: {e}"))?;
-    if flags.has("--stats") {
-        client.request_stats().map_err(|e| format!("stats: {e}"))?;
-    }
-    if flags.has("--shutdown") {
-        client
-            .request_shutdown()
-            .map_err(|e| format!("shutdown: {e}"))?;
-    }
-    for line in client.finish() {
-        println!("{line}");
-    }
-    Ok(())
-}
-
-/// The `--chaos-seed` leg of `gateway send`: route the connection
-/// through an in-process [`tnb_gateway::NetFaultPlan`] proxy (the seed picks one
-/// injector from the matrix and its fault offsets) and drive it with
-/// the resilient client, proving reconnect+RESUME survives the fault.
-fn gateway_send_chaos(
-    flags: &Flags,
-    addr: &str,
-    chaos_seed: u64,
-    stream_id: u32,
-    samples: &[tnb_dsp::Complex32],
-    chunk: usize,
-) -> Result<(), String> {
-    use std::net::ToSocketAddrs;
-    let target = addr
-        .to_socket_addrs()
-        .map_err(|e| format!("resolve {addr}: {e}"))?
-        .next()
-        .ok_or_else(|| format!("resolve {addr}: no address"))?;
-    let plans = tnb_gateway::NetFaultPlan::matrix(chaos_seed);
-    let pick = (chaos_seed % plans.len() as u64) as usize;
-    let plan = plans.into_iter().nth(pick).ok_or("empty chaos matrix")?;
-    eprintln!(
-        "chaos: injecting '{}' (seed {chaos_seed}) between client and {target}",
-        plan.name
-    );
-    let proxy =
-        tnb_gateway::ChaosProxy::spawn(target, plan).map_err(|e| format!("chaos proxy: {e}"))?;
+        None => None,
+    };
+    let target = proxy.as_ref().map(|p| p.local_addr().to_string());
     let mut client = tnb_gateway::ResilientClient::connect(
-        proxy.local_addr(),
+        target.as_deref().unwrap_or(addr),
         tnb_gateway::ResilientConfig {
-            seed: chaos_seed,
-            connect_timeout: std::time::Duration::from_secs(
-                flags.parse_or("--connect-timeout", 10u64)?,
-            ),
+            seed: chaos_seed.unwrap_or(0),
+            connect_timeout: std::time::Duration::from_secs(connect_timeout),
             ..tnb_gateway::ResilientConfig::default()
         },
     )
     .map_err(|e| format!("connect {addr}: {e}"))?;
     client
-        .send_samples(stream_id, samples, chunk)
+        .send_samples(stream_id, &samples, chunk, flags.has("--wideband"))
         .map_err(|e| format!("stream: {e}"))?;
     client
         .end_stream(stream_id)
@@ -860,12 +796,14 @@ fn gateway_send_chaos(
     for line in client.finish() {
         println!("{line}");
     }
-    let (conns, up, down, faults) = proxy.stats();
-    eprintln!(
-        "chaos: {} reconnect(s), {} frame(s) resent, proxy saw {} connection(s), \
-         {} byte(s) up / {} down, {} fault(s) fired",
-        cstats.reconnects, cstats.retransmitted_frames, conns, up, down, faults
-    );
+    if let Some(proxy) = proxy {
+        let (conns, up, down, faults) = proxy.stats();
+        eprintln!(
+            "chaos: {} reconnect(s), {} frame(s) resent, proxy saw {} connection(s), \
+             {} byte(s) up / {} down, {} fault(s) fired",
+            cstats.reconnects, cstats.retransmitted_frames, conns, up, down, faults
+        );
+    }
     Ok(())
 }
 
@@ -877,16 +815,8 @@ fn gateway_send_chaos(
 /// clean reference.
 fn gateway_bench(args: &[String]) -> Result<(), String> {
     let flags = Flags(args);
-    let sf = SpreadingFactor::from_value(flags.parse_or("--sf", 8usize)?)
-        .ok_or("--sf must be 7..=12")?;
-    let cr = CodingRate::from_value(flags.parse_or("--cr", 4usize)?).ok_or("--cr must be 1..=4")?;
-    let chaos_seed: Option<u64> = flags
-        .get("--chaos-seed")
-        .map(|c| {
-            c.parse()
-                .map_err(|_| format!("bad value for --chaos-seed: {c}"))
-        })
-        .transpose()?;
+    let params = parse_params_or_sf8(&flags)?;
+    let chaos_seed: Option<u64> = flags.parse_opt("--chaos-seed")?;
     let (streams, packets) = if chaos_seed.is_some() { (1, 2) } else { (2, 3) };
     let base = HarnessConfig {
         scene: Scene::Collided {
@@ -894,7 +824,7 @@ fn gateway_bench(args: &[String]) -> Result<(), String> {
             packets: flags.parse_or("--packets", packets)?,
         },
         seed: flags.parse_or("--seed", 7u64)?,
-        ..HarnessConfig::new(LoRaParams::new(sf, cr))
+        ..HarnessConfig::new(params)
     };
     let configs: Vec<HarnessConfig> = match chaos_seed {
         Some(seed) => NetFaultPlan::matrix(seed)
@@ -1129,6 +1059,17 @@ mod tests {
                 gateway(&s(&["bench", "--chaos-seed", "0x1"])),
                 "--chaos-seed",
             ),
+            (
+                gateway(&s(&[
+                    "send",
+                    "--addr",
+                    "x",
+                    "--demo-collision",
+                    "--connect-timeout",
+                    "soon",
+                ])),
+                "--connect-timeout",
+            ),
             (deploy(&s(&["run", "--nodes", "many"])), "--nodes"),
             (deploy(&s(&["run", "--load", "heavy"])), "--load"),
             (deploy(&s(&["run", "--shard", "wide"])), "--shard"),
@@ -1221,25 +1162,52 @@ mod tests {
     #[test]
     fn gateway_roundtrip_serve_send_and_bench() {
         // Daemon + client through the public subcommand entry points:
-        // serve on an ephemeral port in a thread, send the demo
-        // collision with --stats --shutdown, then confirm serve exits.
-        let gw = tnb_gateway::Gateway::spawn(
-            ("127.0.0.1", 0),
-            tnb_gateway::GatewayConfig::new(LoRaParams::new(SpreadingFactor::SF8, CodingRate::CR4)),
-        )
-        .unwrap();
+        // against one live daemon, send the demo collision plainly, then
+        // through a chaos proxy, then a wideband scene with --stats
+        // --shutdown, and confirm serve exits.
+        let params = LoRaParams::new(SpreadingFactor::SF8, CodingRate::CR4);
+        let gw =
+            tnb_gateway::Gateway::spawn(("127.0.0.1", 0), tnb_gateway::GatewayConfig::new(params))
+                .unwrap();
         let addr = gw.local_addr().to_string();
+        gateway(&s(&["send", "--addr", &addr, "--demo-collision"])).unwrap();
+        // Seed 4 picks the disconnect-mid-frame injector: the session
+        // must reconnect and RESUME.
         gateway(&s(&[
             "send",
             "--addr",
             &addr,
             "--demo-collision",
+            "--chaos-seed",
+            "4",
+        ]))
+        .unwrap();
+        let dir = std::env::temp_dir().join("tnb_cli_gateway_wideband");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("w.iq16");
+        let path_s = path.to_str().unwrap();
+        save_trace(
+            path_s,
+            &tnb_sim::gateway::wideband_scene(params, 40, &[1, 4, 6]),
+        )
+        .unwrap();
+        gateway(&s(&[
+            "send",
+            "--addr",
+            &addr,
+            "--trace",
+            path_s,
+            "--sf",
+            "8",
+            "--wideband",
             "--stats",
             "--shutdown",
         ]))
         .unwrap();
+        std::fs::remove_file(&path).ok();
         let stats = gw.join();
-        assert!(stats.packets_uplinked >= 2, "{stats:?}");
+        assert!(stats.sessions_resumed >= 1, "{stats:?}");
+        assert!(stats.packets_uplinked >= 2 + 2 + 3, "{stats:?}");
 
         // Bench path (also asserts byte-identity internally).
         gateway(&s(&["bench", "--workers", "1", "--streams", "1", "--json"])).unwrap();

@@ -85,6 +85,21 @@ impl WidebandReceiver {
         self.rxs.iter().map(StreamingReceiver::report).collect()
     }
 
+    /// Cumulative decode report merged across every channel.
+    pub fn report(&self) -> DecodeReport {
+        let mut all = DecodeReport::default();
+        for rx in &self.rxs {
+            all.absorb(&rx.report());
+        }
+        all
+    }
+
+    /// Wideband input samples consumed so far: every channel advances
+    /// one sample per `M` input samples.
+    pub fn input_position(&self) -> u64 {
+        self.position(0) * self.channels() as u64
+    }
+
     /// Feeds a chunk of *wideband* samples; returns any packets the
     /// chunk completed, tagged with their channel, in ascending channel
     /// order.
@@ -142,6 +157,7 @@ mod tests {
         for c in 0..rx.channels() {
             assert_eq!(rx.position(c), 100);
         }
+        assert_eq!(rx.input_position(), 800);
     }
 
     #[test]

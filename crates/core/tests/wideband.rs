@@ -3,7 +3,7 @@
 //! offline and decoding each channel with a standalone receiver.
 
 use tnb_channel::trace::{PacketConfig, TraceBuilder};
-use tnb_core::{StreamingReceiver, WidebandReceiver};
+use tnb_core::{DecodeReport, StreamingReceiver, WidebandReceiver};
 use tnb_dsp::channelizer::upconvert;
 use tnb_dsp::{Channelizer, ChannelizerConfig, Complex32};
 use tnb_phy::params::{CodingRate, LoRaParams, SpreadingFactor};
@@ -100,6 +100,9 @@ fn wideband_pipeline_matches_standalone_receivers_bitwise() {
         assert_eq!(got.packet, *want);
     }
     assert_eq!(piped_reports, standalone_reports);
+    let mut merged = DecodeReport::default();
+    standalone_reports.iter().for_each(|r| merged.absorb(r));
+    assert_eq!(wb.report(), merged);
 }
 
 #[test]

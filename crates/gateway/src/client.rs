@@ -1,16 +1,19 @@
 //! Loopback / load-generator clients for the gateway wire protocol.
 //!
-//! Two clients share the framed IQ protocol of [`crate::wire`] over a
+//! Two layers share the framed IQ protocol of [`crate::wire`] over a
 //! plain [`TcpStream`]:
 //!
-//! - [`GatewayClient`] — the minimal fire-and-forget sender: chunked
-//!   DATA frames per stream, END_STREAM / STATS / SHUTDOWN verbs, and a
-//!   background reader collecting the daemon's JSON uplink lines.
-//! - [`ResilientClient`] — the fault-tolerant sender behind
-//!   `gateway send`: HELLO/RESUME session handshake, seeded-jitter
-//!   exponential-backoff reconnect, and a bounded
-//!   resend-from-last-acked frame buffer, so an uplink survives a
-//!   daemon bounce (or a chaos-proxy disconnect) with a byte-identical
+//! - [`GatewayClient`] — one connection: dial with backoff, a
+//!   background reader collecting the daemon's JSON lines, per-stream
+//!   seq numbering, chunked DATA frames (narrowband or WIDEBAND), and
+//!   the END_STREAM / STATS / SHUTDOWN verbs. Used alone it speaks the
+//!   daemon's plain (no HELLO) mode.
+//! - [`ResilientClient`] — a session over a [`GatewayClient`], and the
+//!   sender behind `gateway send` and the loopback harness: HELLO/RESUME
+//!   handshake, seeded-jitter exponential-backoff reconnect (each
+//!   attempt dials a fresh connection on the same transcript), and a
+//!   bounded resend-from-last-acked frame buffer, so an uplink survives
+//!   a daemon bounce (or a chaos-proxy disconnect) with a byte-identical
 //!   transcript whenever the buffer still holds the unacked tail.
 //!
 //! The traffic synthesis that drives these clients lives in `tnb-sim`
@@ -34,35 +37,8 @@ use tnb_dsp::Complex32;
 /// packet reassembly).
 pub const DEFAULT_CHUNK: usize = 65_536;
 
-/// Dials `addr`, retrying with exponential backoff (10 ms doubling to a
-/// 320 ms ceiling, clipped to the remaining deadline) until `timeout`.
-/// The backoff keeps a daemon that is still binding from being
-/// hammered by a hot connect loop.
-fn connect_with_backoff<A: ToSocketAddrs + Clone>(
-    addr: A,
-    timeout: Duration,
-) -> io::Result<TcpStream> {
-    // tnb-lint: allow(TNB-DET01) -- control-plane connect deadline, never on the decode path
-    let deadline = Instant::now() + timeout;
-    let mut delay = Duration::from_millis(10);
-    loop {
-        match TcpStream::connect(addr.clone()) {
-            Ok(s) => return Ok(s),
-            Err(e) => {
-                // tnb-lint: allow(TNB-DET01) -- control-plane connect deadline, never on the decode path
-                let now = Instant::now();
-                if now >= deadline {
-                    return Err(e);
-                }
-                thread::sleep(delay.min(deadline - now));
-                delay = (delay * 2).min(Duration::from_millis(320));
-            }
-        }
-    }
-}
-
 /// A connected gateway client. Writes frames on the caller's thread;
-/// a background thread accumulates every uplink line the daemon sends.
+/// a background thread accumulates every line the daemon sends.
 pub struct GatewayClient {
     sock: TcpStream,
     reader: Option<JoinHandle<()>>,
@@ -76,15 +52,44 @@ impl GatewayClient {
     /// control-plane only — nothing on the decode path ever reads the
     /// wall clock.
     pub fn connect<A: ToSocketAddrs + Clone>(addr: A, timeout: Duration) -> io::Result<Self> {
-        let sock = connect_with_backoff(addr, timeout)?;
+        Self::dial(addr, timeout, Arc::default(), BTreeMap::new())
+    }
+
+    /// Dials `addr`, retrying with exponential backoff (10 ms doubling
+    /// to a 320 ms ceiling, clipped to the remaining deadline) until
+    /// `timeout`, then starts the reader appending to `link`. The
+    /// backoff keeps a daemon that is still binding from being hammered
+    /// by a hot connect loop.
+    fn dial<A: ToSocketAddrs + Clone>(
+        addr: A,
+        timeout: Duration,
+        link: Arc<Link>,
+        next_seq: BTreeMap<u32, u32>,
+    ) -> io::Result<Self> {
+        // tnb-lint: allow(TNB-DET01) -- control-plane connect deadline, never on the decode path
+        let deadline = Instant::now() + timeout;
+        let mut delay = Duration::from_millis(10);
+        let sock = loop {
+            match TcpStream::connect(addr.clone()) {
+                Ok(s) => break s,
+                Err(e) => {
+                    // tnb-lint: allow(TNB-DET01) -- control-plane connect deadline, never on the decode path
+                    let now = Instant::now();
+                    if now >= deadline {
+                        return Err(e);
+                    }
+                    thread::sleep(delay.min(deadline - now));
+                    delay = (delay * 2).min(Duration::from_millis(320));
+                }
+            }
+        };
         sock.set_nodelay(true).ok();
-        let link = Arc::new(Link::default());
         let reader = spawn_link_reader(sock.try_clone()?, Arc::clone(&link));
         Ok(GatewayClient {
             sock,
             reader: Some(reader),
             link,
-            next_seq: BTreeMap::new(),
+            next_seq,
         })
     }
 
@@ -99,70 +104,33 @@ impl GatewayClient {
         samples: &[Complex32],
         chunk_len: usize,
     ) -> io::Result<u32> {
-        self.send_samples_mode(stream_id, samples, chunk_len, false)
-    }
-
-    /// Like [`Self::send_samples`] but marks every DATA frame with the
-    /// WIDEBAND flag, so the daemon channelizes the stream into the 8
-    /// LoRa uplink channels before decoding.
-    pub fn send_samples_wideband(
-        &mut self,
-        stream_id: u32,
-        samples: &[Complex32],
-        chunk_len: usize,
-    ) -> io::Result<u32> {
-        self.send_samples_mode(stream_id, samples, chunk_len, true)
-    }
-
-    fn send_samples_mode(
-        &mut self,
-        stream_id: u32,
-        samples: &[Complex32],
-        chunk_len: usize,
-        wideband: bool,
-    ) -> io::Result<u32> {
-        let chunk_len = chunk_len.clamp(1, MAX_FRAME_SAMPLES);
-        let mut sent = 0;
-        for chunk in samples.chunks(chunk_len) {
-            let seq = self.bump_seq(stream_id);
-            let frame = if wideband {
-                Frame::data_wideband(stream_id, seq, chunk.to_vec())
-            } else {
-                Frame::data(stream_id, seq, chunk.to_vec())
-            };
-            self.sock.write_all(&encode_frame(&frame))?;
-            sent += 1;
-        }
-        self.sock.flush()?;
-        Ok(sent)
+        for_each_chunk(samples, chunk_len, |chunk| {
+            let (_, bytes) = self.data_frame(stream_id, chunk, false);
+            self.send_raw(&bytes)
+        })
     }
 
     /// Sends one raw, already-built frame (fault-injection tests use
     /// this to ship deliberately corrupted byte strings).
     pub fn send_raw(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.sock.write_all(bytes)?;
-        self.sock.flush()
+        self.sock.write_all(bytes)
     }
 
     /// END_STREAM: the daemon flushes the stream's receiver and writes
     /// its end-of-stream report line.
     pub fn end_stream(&mut self, stream_id: u32) -> io::Result<()> {
-        let seq = self.bump_seq(stream_id);
-        self.sock
-            .write_all(&encode_frame(&Frame::end_stream(stream_id, seq)))?;
-        self.sock.flush()
+        let (_, bytes) = self.end_frame(stream_id);
+        self.send_raw(&bytes)
     }
 
     /// STATS: the daemon replies with one stats JSON line.
     pub fn request_stats(&mut self) -> io::Result<()> {
-        self.sock.write_all(&encode_frame(&Frame::stats()))?;
-        self.sock.flush()
+        self.send_raw(&encode_frame(&Frame::stats()))
     }
 
     /// SHUTDOWN: asks the whole daemon to shut down gracefully.
     pub fn request_shutdown(&mut self) -> io::Result<()> {
-        self.sock.write_all(&encode_frame(&Frame::shutdown()))?;
-        self.sock.flush()
+        self.send_raw(&encode_frame(&Frame::shutdown()))
     }
 
     /// Closes the write half and returns every JSON line the daemon
@@ -170,7 +138,33 @@ impl GatewayClient {
     /// collects a complete transcript).
     pub fn finish(mut self) -> Vec<String> {
         let _ = self.sock.shutdown(Shutdown::Write);
-        self.link.take_lines(self.reader.take())
+        if let Some(h) = self.reader.take() {
+            let _ = h.join();
+        }
+        std::mem::take(&mut self.link.lock_state().lines)
+    }
+
+    /// The next DATA frame of `stream_id` (WIDEBAND-flagged when
+    /// `wideband`): its seq and wire bytes.
+    fn data_frame(
+        &mut self,
+        stream_id: u32,
+        chunk: &[Complex32],
+        wideband: bool,
+    ) -> (u32, Vec<u8>) {
+        let seq = self.bump_seq(stream_id);
+        let frame = if wideband {
+            Frame::data_wideband(stream_id, seq, chunk.to_vec())
+        } else {
+            Frame::data(stream_id, seq, chunk.to_vec())
+        };
+        (seq, encode_frame(&frame))
+    }
+
+    /// The END_STREAM frame of `stream_id`: its seq and wire bytes.
+    fn end_frame(&mut self, stream_id: u32) -> (u32, Vec<u8>) {
+        let seq = self.bump_seq(stream_id);
+        (seq, encode_frame(&Frame::end_stream(stream_id, seq)))
     }
 
     fn bump_seq(&mut self, stream_id: u32) -> u32 {
@@ -179,15 +173,36 @@ impl GatewayClient {
         *seq = seq.wrapping_add(1);
         cur
     }
-}
 
-impl Drop for GatewayClient {
-    fn drop(&mut self) {
+    /// Closes both halves and joins the reader, so every line the
+    /// connection delivered is in the transcript.
+    fn hang_up(&mut self) {
         let _ = self.sock.shutdown(Shutdown::Both);
         if let Some(h) = self.reader.take() {
             let _ = h.join();
         }
     }
+}
+
+impl Drop for GatewayClient {
+    fn drop(&mut self) {
+        self.hang_up();
+    }
+}
+
+/// Calls `ship` on each chunk of at most `chunk_len` samples (clamped
+/// to the wire's frame limit); returns the number of chunks shipped.
+fn for_each_chunk(
+    samples: &[Complex32],
+    chunk_len: usize,
+    mut ship: impl FnMut(&[Complex32]) -> io::Result<()>,
+) -> io::Result<u32> {
+    let mut sent = 0;
+    for chunk in samples.chunks(chunk_len.clamp(1, MAX_FRAME_SAMPLES)) {
+        ship(chunk)?;
+        sent += 1;
+    }
+    Ok(sent)
 }
 
 // ---------------------------------------------------------------------
@@ -277,7 +292,7 @@ struct LinkState {
 }
 
 /// The daemon's side of a connection as the client's reader thread
-/// sees it (shared by both clients).
+/// sees it. A [`ResilientClient`]'s successive connections share one.
 #[derive(Default)]
 struct Link {
     state: Mutex<LinkState>,
@@ -289,13 +304,31 @@ impl Link {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Joins the reader (its socket's read half must be at EOF) and
-    /// returns the transcript.
-    fn take_lines(&self, reader: Option<JoinHandle<()>>) -> Vec<String> {
-        if let Some(h) = reader {
-            let _ = h.join();
+    /// Blocks until `f` yields `Some` on the link state, or `timeout`.
+    fn wait_state<T, F: Fn(&LinkState) -> Option<T>>(&self, timeout: Duration, f: F) -> Option<T> {
+        // tnb-lint: allow(TNB-DET01) -- control-plane reply deadline, never on the decode path
+        let deadline = Instant::now() + timeout;
+        let mut st = self.lock_state();
+        loop {
+            if let Some(v) = f(&st) {
+                return Some(v);
+            }
+            // tnb-lint: allow(TNB-DET01) -- control-plane reply deadline, never on the decode path
+            let now = Instant::now();
+            if now >= deadline {
+                return None;
+            }
+            let (g, _) = self
+                .cv
+                .wait_timeout(st, deadline - now)
+                .unwrap_or_else(|e| e.into_inner());
+            st = g;
         }
-        std::mem::take(&mut self.lock_state().lines)
+    }
+
+    fn wait_until<F: Fn(&LinkState) -> bool>(&self, timeout: Duration, pred: F) -> bool {
+        self.wait_state(timeout, |st| pred(st).then_some(()))
+            .is_some()
     }
 }
 
@@ -343,20 +376,33 @@ fn spawn_link_reader(read_half: TcpStream, link: Arc<Link>) -> JoinHandle<()> {
     })
 }
 
-/// The fault-tolerant gateway client: HELLO on connect, seeded-jitter
-/// exponential-backoff reconnect with RESUME, and a bounded
-/// resend-from-last-acked frame buffer. Any send that hits a dead
-/// socket transparently reconnects, resumes the session, and resends
-/// the unacked tail — the daemon's seq cursors make the resend
+/// Seeded-jitter exponential backoff for reconnect `attempt`: advances
+/// the LCG state `rng` and returns `base * 2^attempt` capped at
+/// `max_delay`, plus an LCG-jittered fraction of `base`.
+fn backoff_delay(cfg: &ResilientConfig, rng: &mut u64, attempt: u32) -> Duration {
+    *rng = rng
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
+    let base = cfg.base_delay.max(Duration::from_millis(1));
+    let exp = base
+        .saturating_mul(1u32 << attempt.min(16))
+        .min(cfg.max_delay);
+    let jitter_ms = (*rng >> 33) % (base.as_millis().max(1) as u64);
+    exp + Duration::from_millis(jitter_ms)
+}
+
+/// The fault-tolerant gateway client: a session over one
+/// [`GatewayClient`] connection at a time. HELLO on connect,
+/// seeded-jitter exponential-backoff reconnect with RESUME, and a
+/// bounded resend-from-last-acked frame buffer. Any send that hits a
+/// dead socket transparently reconnects, resumes the session, and
+/// resends the unacked tail — the daemon's seq cursors make the resend
 /// idempotent, so the uplink transcript matches a clean run.
 pub struct ResilientClient {
+    conn: GatewayClient,
     addr: SocketAddr,
     cfg: ResilientConfig,
-    sock: TcpStream,
-    reader: Option<JoinHandle<()>>,
-    link: Arc<Link>,
     token: u32,
-    next_seq: BTreeMap<u32, u32>,
     buffer: VecDeque<BufferedFrame>,
     rng: u64,
     stats: ResilientStats,
@@ -370,35 +416,21 @@ impl ResilientClient {
             .to_socket_addrs()?
             .next()
             .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "no address"))?;
-        let sock = connect_with_backoff(addr, cfg.connect_timeout)?;
-        sock.set_nodelay(true).ok();
-        let read_half = sock.try_clone()?;
-        let link = Arc::new(Link::default());
-        let reader = spawn_link_reader(read_half, Arc::clone(&link));
-        let mut client = ResilientClient {
+        let mut conn = GatewayClient::connect(addr, cfg.connect_timeout)?;
+        conn.send_raw(&encode_frame(&Frame::hello()))?;
+        let token = conn
+            .link
+            .wait_state(cfg.reply_timeout, |st| st.session)
+            .ok_or_else(|| io::Error::new(io::ErrorKind::TimedOut, "no hello reply from daemon"))?;
+        Ok(ResilientClient {
+            conn,
             addr,
             cfg,
-            sock,
-            reader: Some(reader),
-            link,
-            token: 0,
-            next_seq: BTreeMap::new(),
+            token,
             buffer: VecDeque::new(),
             rng: cfg.seed ^ 0x9e37_79b9_7f4a_7c15,
             stats: ResilientStats::default(),
-        };
-        client.sock.write_all(&encode_frame(&Frame::hello()))?;
-        let token = client.wait_state(cfg.reply_timeout, |st| st.session);
-        match token {
-            Some(t) => {
-                client.token = t;
-                Ok(client)
-            }
-            None => Err(io::Error::new(
-                io::ErrorKind::TimedOut,
-                "no hello reply from daemon",
-            )),
-        }
+        })
     }
 
     /// The daemon-assigned session token.
@@ -412,7 +444,9 @@ impl ResilientClient {
     }
 
     /// Streams `samples` as DATA frames (see
-    /// [`GatewayClient::send_samples`]), surviving daemon bounces via
+    /// [`GatewayClient::send_samples`]; `wideband` sets the WIDEBAND
+    /// flag, so the daemon channelizes the stream into the 8 LoRa uplink
+    /// channels before decoding), surviving daemon bounces via
     /// reconnect+RESUME+resend. Returns the number of frames sent
     /// (retransmissions not counted).
     pub fn send_samples(
@@ -420,51 +454,40 @@ impl ResilientClient {
         stream_id: u32,
         samples: &[Complex32],
         chunk_len: usize,
+        wideband: bool,
     ) -> io::Result<u32> {
-        let chunk_len = chunk_len.clamp(1, MAX_FRAME_SAMPLES);
-        let mut sent = 0;
-        for chunk in samples.chunks(chunk_len) {
-            let seq = self.bump_seq(stream_id);
-            let frame = Frame::data(stream_id, seq, chunk.to_vec());
-            self.ship(stream_id, seq, encode_frame(&frame))?;
-            sent += 1;
-        }
-        Ok(sent)
+        for_each_chunk(samples, chunk_len, |chunk| {
+            let (seq, bytes) = self.conn.data_frame(stream_id, chunk, wideband);
+            self.ship(stream_id, seq, bytes)
+        })
     }
 
     /// END_STREAM with resend protection: if the END frame (or any
     /// unacked DATA before it) dies with the connection, the resume
     /// path replays it.
     pub fn end_stream(&mut self, stream_id: u32) -> io::Result<()> {
-        let seq = self.bump_seq(stream_id);
-        let bytes = encode_frame(&Frame::end_stream(stream_id, seq));
+        let (seq, bytes) = self.conn.end_frame(stream_id);
         self.ship(stream_id, seq, bytes)
     }
 
     /// PING keepalive: sends the nonce and waits for the matching pong
     /// line. Returns whether it arrived within the reply timeout.
     pub fn ping(&mut self, nonce: u32) -> io::Result<bool> {
-        {
-            let mut st = self.link.lock_state();
-            st.last_pong = None;
-        }
-        self.sock.write_all(&encode_frame(&Frame::ping(nonce)))?;
-        Ok(self
-            .wait_state(self.cfg.reply_timeout, |st| {
-                st.last_pong.filter(|&n| n == nonce)
-            })
-            .is_some())
+        self.conn.link.lock_state().last_pong = None;
+        self.conn.send_raw(&encode_frame(&Frame::ping(nonce)))?;
+        let link = &self.conn.link;
+        Ok(link.wait_until(self.cfg.reply_timeout, |st| st.last_pong == Some(nonce)))
     }
 
     /// STATS: the daemon replies with one stats JSON line (collected in
     /// the transcript).
     pub fn request_stats(&mut self) -> io::Result<()> {
-        self.sock.write_all(&encode_frame(&Frame::stats()))
+        self.conn.request_stats()
     }
 
     /// SHUTDOWN: asks the whole daemon to shut down gracefully.
     pub fn request_shutdown(&mut self) -> io::Result<()> {
-        self.sock.write_all(&encode_frame(&Frame::shutdown()))
+        self.conn.request_shutdown()
     }
 
     /// Blocks until every buffered frame has been acked by the daemon,
@@ -483,7 +506,8 @@ impl ResilientClient {
             if self.buffer.is_empty() {
                 return Ok(());
             }
-            if self.wait_until(self.cfg.reply_timeout, |st| st.acks != before) {
+            let link = &self.conn.link;
+            if link.wait_until(self.cfg.reply_timeout, |st| st.acks != before) {
                 continue;
             }
             if attempts_left == 0 {
@@ -503,22 +527,15 @@ impl ResilientClient {
     /// transcript.
     pub fn finish(mut self) -> Vec<String> {
         let _ = self.drain();
-        let _ = self.sock.write_all(&encode_frame(&Frame::goaway()));
-        let _ = self.sock.shutdown(Shutdown::Write);
-        self.link.take_lines(self.reader.take())
+        let _ = self.conn.send_raw(&encode_frame(&Frame::goaway()));
+        self.conn.finish()
     }
 
-    fn bump_seq(&mut self, stream_id: u32) -> u32 {
-        let seq = self.next_seq.entry(stream_id).or_insert(0);
-        let cur = *seq;
-        *seq = seq.wrapping_add(1);
-        cur
-    }
-
-    /// Buffers the frame, trims acked/overflowed entries, writes it,
+    /// Writes the frame, buffers it, trims acked/overflowed entries,
     /// and falls back to the reconnect path when the socket is dead.
     fn ship(&mut self, stream_id: u32, seq: u32, bytes: Vec<u8>) -> io::Result<()> {
         self.prune_acked();
+        let written = self.conn.send_raw(&bytes);
         self.buffer.push_back(BufferedFrame {
             stream_id,
             seq,
@@ -528,22 +545,15 @@ impl ResilientClient {
             self.buffer.pop_front();
             self.stats.resend_evicted += 1;
         }
-        let tail = match self.buffer.back() {
-            Some(f) => f.bytes.clone(),
-            None => return Ok(()),
-        };
-        if self.sock.write_all(&tail).is_ok() {
-            return Ok(());
-        }
         // Dead socket: the reconnect path resends the whole unacked
         // buffer (this frame included) after RESUME.
-        self.reconnect()
+        written.or_else(|_| self.reconnect())
     }
 
     /// Drops buffered frames the daemon has acked (per-stream cursor,
     /// u32-wraparound aware); returns the ack cursors it pruned by.
     fn prune_acked(&mut self) -> BTreeMap<u32, u32> {
-        let acks = self.link.lock_state().acks.clone();
+        let acks = self.conn.link.lock_state().acks.clone();
         self.buffer.retain(|f| match acks.get(&f.stream_id) {
             // Keep the frame only while it is ahead of the acked seq.
             Some(&acked) => f.seq.wrapping_sub(acked) < 1 << 31 && f.seq != acked,
@@ -552,64 +562,40 @@ impl ResilientClient {
         acks
     }
 
-    /// Seeded-jitter exponential backoff: `base * 2^attempt` capped at
-    /// `max_delay`, plus an LCG-jittered fraction of `base`.
-    fn backoff_delay(&mut self, attempt: u32) -> Duration {
-        self.rng = self
-            .rng
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        let base = self.cfg.base_delay.max(Duration::from_millis(1));
-        let exp = base
-            .saturating_mul(1u32 << attempt.min(16))
-            .min(self.cfg.max_delay);
-        let jitter_ms = (self.rng >> 33) % (base.as_millis().max(1) as u64);
-        exp + Duration::from_millis(jitter_ms)
-    }
-
-    /// Reconnect loop: backoff, dial, RESUME the session, resend every
-    /// buffered frame at/ahead of the daemon's per-stream cursors.
+    /// Reconnect loop: backoff, dial a new connection on the same link
+    /// and seq cursors, RESUME the session, resend every buffered frame
+    /// at/ahead of the daemon's per-stream cursors.
     fn reconnect(&mut self) -> io::Result<()> {
         'attempts: for attempt in 0..self.cfg.max_reconnects.max(1) {
-            // Force the old reader to EOF so its lines are all in the
-            // transcript before the new connection starts appending.
-            let _ = self.sock.shutdown(Shutdown::Both);
-            if let Some(h) = self.reader.take() {
-                let _ = h.join();
-            }
-            thread::sleep(self.backoff_delay(attempt));
-            let Ok(sock) = connect_with_backoff(self.addr, self.cfg.connect_timeout) else {
+            // Hang up first: the old reader's lines all land in the
+            // transcript before the new connection starts appending,
+            // and the daemon sees the EOF that parks the session.
+            self.conn.hang_up();
+            thread::sleep(backoff_delay(&self.cfg, &mut self.rng, attempt));
+            let link = Arc::clone(&self.conn.link);
+            let next_seq = self.conn.next_seq.clone();
+            let Ok(conn) = GatewayClient::dial(self.addr, self.cfg.connect_timeout, link, next_seq)
+            else {
                 continue;
             };
-            sock.set_nodelay(true).ok();
-            let Ok(read_half) = sock.try_clone() else {
-                continue;
-            };
-            self.sock = sock;
-            self.reader = Some(spawn_link_reader(read_half, Arc::clone(&self.link)));
+            self.conn = conn;
             let (goaways_before, delivered) = {
-                let mut st = self.link.lock_state();
+                let mut st = self.conn.link.lock_state();
                 st.resume_cursors = None;
                 (st.goaways, st.session_lines)
             };
-            if self
-                .sock
-                .write_all(&encode_frame(&Frame::resume(self.token, delivered as u32)))
-                .is_err()
-            {
+            let resume = Frame::resume(self.token, delivered as u32);
+            if self.conn.send_raw(&encode_frame(&resume)).is_err() {
                 continue;
             }
-            let answered = self.wait_until(self.cfg.reply_timeout, |st| {
+            let link = &self.conn.link;
+            let answered = link.wait_until(self.cfg.reply_timeout, |st| {
                 st.resume_cursors.is_some() || st.goaways > goaways_before
             });
             if !answered {
                 continue;
             }
-            let cursors = {
-                let mut st = self.link.lock_state();
-                st.resume_cursors.take()
-            };
-            let Some(cursors) = cursors else {
+            let Some(cursors) = link.lock_state().resume_cursors.take() else {
                 // goaway "unknown-session". Either the grace window
                 // expired (the daemon dropped our state for good) or —
                 // right after a disconnect — the old connection's
@@ -631,7 +617,7 @@ impl ResilientClient {
                 if !needed {
                     continue;
                 }
-                if self.sock.write_all(&f.bytes).is_err() {
+                if self.conn.send_raw(&f.bytes).is_err() {
                     continue 'attempts;
                 }
                 resent += 1;
@@ -645,43 +631,6 @@ impl ResilientClient {
             "gateway unreachable after reconnect attempts",
         ))
     }
-
-    /// Blocks until `f` yields `Some` on the link state, or `timeout`.
-    fn wait_state<T, F: Fn(&LinkState) -> Option<T>>(&self, timeout: Duration, f: F) -> Option<T> {
-        // tnb-lint: allow(TNB-DET01) -- control-plane reply deadline, never on the decode path
-        let deadline = Instant::now() + timeout;
-        let mut st = self.link.lock_state();
-        loop {
-            if let Some(v) = f(&st) {
-                return Some(v);
-            }
-            // tnb-lint: allow(TNB-DET01) -- control-plane reply deadline, never on the decode path
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (g, _) = self
-                .link
-                .cv
-                .wait_timeout(st, deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
-            st = g;
-        }
-    }
-
-    fn wait_until<F: Fn(&LinkState) -> bool>(&self, timeout: Duration, pred: F) -> bool {
-        self.wait_state(timeout, |st| if pred(st) { Some(()) } else { None })
-            .is_some()
-    }
-}
-
-impl Drop for ResilientClient {
-    fn drop(&mut self) {
-        let _ = self.sock.shutdown(Shutdown::Both);
-        if let Some(h) = self.reader.take() {
-            let _ = h.join();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -690,34 +639,25 @@ mod tests {
 
     #[test]
     fn backoff_schedule_is_deterministic_per_seed() {
-        let delays = |seed: u64| -> Vec<Duration> {
-            let cfg = ResilientConfig {
-                seed,
-                ..ResilientConfig::default()
-            };
-            // Build the schedule without a socket: only the RNG and the
-            // config feed it.
-            let mut rng = cfg.seed ^ 0x9e37_79b9_7f4a_7c15;
-            (0..5)
-                .map(|attempt: u32| {
-                    rng = rng
-                        .wrapping_mul(6364136223846793005)
-                        .wrapping_add(1442695040888963407);
-                    let base = cfg.base_delay.max(Duration::from_millis(1));
-                    let exp = base
-                        .saturating_mul(1u32 << attempt.min(16))
-                        .min(cfg.max_delay);
-                    exp + Duration::from_millis((rng >> 33) % (base.as_millis().max(1) as u64))
-                })
+        let cfg = ResilientConfig::default();
+        // Ten attempts: the envelope crosses `max_delay` from the sixth.
+        let schedule = |mut rng: u64| -> Vec<Duration> {
+            (0..10)
+                .map(|attempt| backoff_delay(&cfg, &mut rng, attempt))
                 .collect()
         };
-        assert_eq!(delays(42), delays(42), "same seed, same schedule");
-        assert_ne!(delays(42), delays(43), "different seed, different jitter");
-        // The exponential envelope grows and respects the cap.
-        let d = delays(7);
-        let base = ResilientConfig::default().base_delay;
-        let cap = ResilientConfig::default().max_delay + base;
-        assert!(d.iter().all(|&x| x <= cap), "{d:?}");
-        assert!(d[4] >= Duration::from_millis(320 - 20), "{d:?}");
+        assert_eq!(schedule(42), schedule(42), "same seed, same schedule");
+        assert_ne!(
+            schedule(42),
+            schedule(43),
+            "different seed, different jitter"
+        );
+        // The exponential envelope grows, then holds at the cap (plus
+        // at most one `base` of jitter).
+        let d = schedule(7);
+        let base = cfg.base_delay;
+        assert!(d[4] >= base * 16, "{d:?}");
+        assert!(d[9] >= cfg.max_delay, "{d:?}");
+        assert!(d.iter().all(|&x| x < cfg.max_delay + base), "{d:?}");
     }
 }

@@ -17,11 +17,12 @@
 //!   from the sample clock — never the wall clock), the reader
 //!   ([`uplink::Line`], [`uplink::Uplink`]), and the session/link split
 //!   the resume protocol relies on.
-//! - [`client`] — the loopback client used by `tnb-sim`'s load
-//!   generator, the CLI, and the integration tests, plus the
-//!   resilient variant ([`client::ResilientClient`]) with
-//!   HELLO/RESUME sessions, seeded-backoff reconnect, and a bounded
-//!   resend-from-last-acked buffer.
+//! - [`client`] — one connection ([`client::GatewayClient`], the
+//!   daemon's plain mode, used by the integration tests) and the
+//!   session layer over it ([`client::ResilientClient`]: HELLO/RESUME,
+//!   seeded-backoff reconnect, a bounded resend-from-last-acked
+//!   buffer) that the CLI and `tnb-sim`'s loopback harness send
+//!   through.
 //! - [`stats`] — `Sync` control-plane counters ([`tnb_metrics::SharedCounter`])
 //!   exposed through the STATS verb.
 //! - [`netfaults`] — the deterministic network-chaos harness: a seeded

@@ -769,13 +769,7 @@ impl Session {
     fn report(&self) -> DecodeReport {
         match &self.rx {
             Rx::Narrow(rx) => rx.report(),
-            Rx::Wide(rx) => {
-                let mut all = DecodeReport::default();
-                for r in rx.reports() {
-                    all.absorb(&r);
-                }
-                all
-            }
+            Rx::Wide(rx) => rx.report(),
         }
     }
 
@@ -793,7 +787,7 @@ impl Session {
     fn position(&self) -> u64 {
         match &self.rx {
             Rx::Narrow(rx) => rx.position(),
-            Rx::Wide(rx) => rx.position(0) * rx.channels() as u64,
+            Rx::Wide(rx) => rx.input_position(),
         }
     }
 }

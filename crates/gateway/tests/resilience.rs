@@ -188,7 +188,9 @@ fn reconnect_resume_continues_a_stream_mid_packet_byte_identically() {
 
     let chunk = 4096;
     let samples = collided_samples(p, 11, 2);
-    client.send_samples(0, &samples, chunk).expect("send");
+    client
+        .send_samples(0, &samples, chunk, false)
+        .expect("send");
     client.end_stream(0).expect("end");
     client.drain().expect("all frames acked after recovery");
     let client_stats = client.stats();
@@ -226,7 +228,9 @@ fn shutdown_with_streams_in_flight_drains_and_exits_clean() {
     let chunk = 4096;
     let samples = collided_samples(p, 5, 2);
     let mut inflight = resilient(gw.local_addr());
-    inflight.send_samples(0, &samples, chunk).expect("send");
+    inflight
+        .send_samples(0, &samples, chunk, false)
+        .expect("send");
     // No end_stream: the stream stays open. Wait until the daemon has
     // consumed (acked) every chunk, so the shutdown below races only
     // the flush, not the ingest.

@@ -4,11 +4,11 @@
 //! [`Scene`] at it through the wire client, and checks the uplinked
 //! lines are **byte-identical** to a direct in-process decode of the same
 //! wire-quantized samples: a socket, framing and a daemon between the
-//! samples and the decoder must not change one uplinked byte. With a
-//! [`NetFaultPlan`] the collided scene goes through a [`ChaosProxy`],
-//! driven by the [`ResilientClient`] (HELLO/RESUME, reconnect, resend),
-//! and the same check is the recovery contract. Timing is harness-side
-//! only; the daemon never reads the wall clock.
+//! samples and the decoder must not change one uplinked byte. The
+//! [`ResilientClient`] (HELLO/RESUME, reconnect, resend) drives every
+//! run; with a [`NetFaultPlan`] a [`ChaosProxy`] sits between it and the
+//! daemon, and the same check is the recovery contract. Timing is
+//! harness-side only; the daemon never reads the wall clock.
 
 use std::io;
 use std::time::{Duration, Instant};
@@ -23,7 +23,7 @@ use tnb_gateway::client::DEFAULT_CHUNK;
 use tnb_gateway::netfaults::{ChaosProxy, NetFaultPlan};
 use tnb_gateway::uplink::{self, Line, LineKind, Uplink};
 use tnb_gateway::wire::quantize;
-use tnb_gateway::{Gateway, GatewayClient, GatewayConfig, GatewayStatsSnapshot};
+use tnb_gateway::{Gateway, GatewayConfig, GatewayStatsSnapshot};
 use tnb_gateway::{ResilientClient, ResilientConfig, ResilientStats};
 use tnb_phy::LoRaParams;
 
@@ -66,9 +66,8 @@ pub struct HarnessConfig {
     pub chunk: usize,
     /// Synthesis seed.
     pub seed: u64,
-    /// Network faults between client and daemon, collided scene only
-    /// (the resilient client has no wideband send). `None` connects a
-    /// plain client directly.
+    /// Network faults between client and daemon. `None` connects the
+    /// client directly.
     pub faults: Option<NetFaultPlan>,
 }
 
@@ -293,10 +292,13 @@ fn reference(cfg: &HarnessConfig, stream_id: u32, quantized: &[Complex32]) -> Ve
         .into_iter()
         .map(|cp| (Some(cp.channel), cp.packet))
         .collect();
-    let mut report = DecodeReport::default();
-    rx.reports().iter().for_each(|r| report.absorb(r));
-    let position = rx.position(0) * rx.channels() as u64;
-    transcript(cfg.params, stream_id, &decoded, position, &report)
+    transcript(
+        cfg.params,
+        stream_id,
+        &decoded,
+        rx.input_position(),
+        &rx.report(),
+    )
 }
 
 /// One stream's uplink lines (numbered in decode order) and its end line.
@@ -321,16 +323,12 @@ fn transcript(
 }
 
 /// Runs one harness pass: daemon up, stream every scene stream over one
-/// connection (through the chaos proxy and the resilient client when
-/// `cfg.faults` is set), end the streams, collect the transcript, shut
-/// down, and decode the reference.
+/// resilient session (through the chaos proxy when `cfg.faults` is
+/// set), end the streams, collect the transcript, shut down, and decode
+/// the reference.
 pub fn run(cfg: &HarnessConfig) -> io::Result<HarnessOutcome> {
     let t0 = Instant::now();
     let wideband = matches!(cfg.scene, Scene::Wideband { .. });
-    if wideband && cfg.faults.is_some() {
-        let msg = "a fault plan applies only to the collided scene";
-        return Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
-    }
     let streams: Vec<Vec<Complex32>> = match &cfg.scene {
         Scene::Collided { streams, packets } => (0..*streams)
             .map(|s| collided_samples(cfg.params, cfg.seed + u64::from(s), *packets))
@@ -346,41 +344,29 @@ pub fn run(cfg: &HarnessConfig) -> io::Result<HarnessOutcome> {
             ..GatewayConfig::new(cfg.params)
         },
     )?;
-    let (transcript, client, proxy_faults) = match &cfg.faults {
-        None => {
-            let mut client = GatewayClient::connect(gw.local_addr(), Duration::from_secs(5))?;
-            for (s, samples) in (0u32..).zip(&streams) {
-                if wideband {
-                    client.send_samples_wideband(s, samples, cfg.chunk)?;
-                } else {
-                    client.send_samples(s, samples, cfg.chunk)?;
-                }
-                client.end_stream(s)?;
-            }
-            (client.finish(), ResilientStats::default(), 0)
-        }
-        Some(plan) => {
-            let proxy = ChaosProxy::spawn(gw.local_addr(), plan.clone())?;
-            let mut client = ResilientClient::connect(
-                proxy.local_addr(),
-                ResilientConfig {
-                    seed: plan.seed,
-                    max_reconnects: 10,
-                    reply_timeout: Duration::from_secs(10),
-                    ..ResilientConfig::default()
-                },
-            )?;
-            for (s, samples) in (0u32..).zip(&streams) {
-                client.send_samples(s, samples, cfg.chunk)?;
-                client.end_stream(s)?;
-            }
-            client.drain()?;
-            let client_stats = client.stats();
-            let lines = client.finish();
-            let (_, _, _, faults) = proxy.stats();
-            (lines, client_stats, faults)
-        }
+    let proxy = match &cfg.faults {
+        Some(plan) => Some(ChaosProxy::spawn(gw.local_addr(), plan.clone())?),
+        None => None,
     };
+    let mut client = ResilientClient::connect(
+        proxy
+            .as_ref()
+            .map_or(gw.local_addr(), ChaosProxy::local_addr),
+        ResilientConfig {
+            seed: cfg.faults.as_ref().map_or(0, |plan| plan.seed),
+            max_reconnects: 10,
+            reply_timeout: Duration::from_secs(10),
+            ..ResilientConfig::default()
+        },
+    )?;
+    for (s, samples) in (0u32..).zip(&streams) {
+        client.send_samples(s, samples, cfg.chunk, wideband)?;
+        client.end_stream(s)?;
+    }
+    client.drain()?;
+    let client_stats = client.stats();
+    let transcript = client.finish();
+    let proxy_faults = proxy.map_or(0, |p| p.stats().3);
     let stats = gw.join();
 
     // Split the daemon transcript back out per stream (a single decoder
@@ -420,7 +406,7 @@ pub fn run(cfg: &HarnessConfig) -> io::Result<HarnessOutcome> {
         samples: streams.iter().map(|s| s.len() as u64).sum(),
         wall_s: t0.elapsed().as_secs_f64(),
         stats,
-        client,
+        client: client_stats,
         proxy_faults,
     })
 }
@@ -428,17 +414,34 @@ pub fn run(cfg: &HarnessConfig) -> io::Result<HarnessOutcome> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tnb_gateway::NetFault;
     use tnb_phy::{CodingRate, SpreadingFactor};
 
     #[test]
-    fn fault_plans_are_rejected_on_the_wideband_scene() {
+    fn wideband_scene_recovers_from_a_disconnect_byte_identically() {
         let cfg = HarnessConfig {
-            scene: Scene::Wideband { occupied: vec![1] },
-            faults: Some(NetFaultPlan::clean()),
+            scene: Scene::Wideband {
+                occupied: vec![1, 4, 6],
+            },
+            chunk: FAULT_CHUNK,
+            faults: Some(NetFaultPlan {
+                name: "disconnect-mid-frame",
+                seed: 5,
+                faults: vec![NetFault::DisconnectAt { byte: 40_000 }],
+                recoverable: true,
+            }),
             ..HarnessConfig::new(LoRaParams::new(SpreadingFactor::SF8, CodingRate::CR4))
         };
-        let err = run(&cfg).expect_err("the resilient client has no wideband send");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        let outcome = run(&cfg).expect("wideband fault run");
+        assert_eq!(outcome.proxy_faults, 1, "the disconnect fired");
+        assert!(outcome.client.reconnects >= 1, "{:?}", outcome.client);
+        assert_eq!(outcome.per_channel, [0, 1, 0, 0, 1, 0, 1, 0]);
+        assert!(
+            outcome.byte_identical(),
+            "daemon {:?}\nreference {:?}",
+            outcome.daemon_lines,
+            outcome.reference_lines
+        );
     }
 
     #[test]
